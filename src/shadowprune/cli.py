@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, InvalidConfig, NumericError, ShadowPruneError
+from .errors import DataError, InvalidConfig, IoError, NumericError, ShadowPruneError
 from .features import GridConfig, apply_normalizer, fit_normalizer
 from .imgcore import load_image, save_pgm, to_gray
 from .pipeline import (
@@ -33,9 +33,9 @@ from .svm import (
     KERNELS,
     TrainConfig,
     TrainingSet,
+    decision_label,
     decision_value,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -150,6 +150,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write_text(path: str, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _note(args: argparse.Namespace, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr)
@@ -215,12 +222,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     rows = read_features_csv(args.features)
     lines = [",".join(PREDICTIONS_FIELDS)]
     for r in rows:
-        label = predict(model, r.features)
         value = decision_value(model, r.features)
-        lines.append(f"{r.tree_id},{r.photo_id},{label},{value!r}")
+        lines.append(f"{r.tree_id},{r.photo_id},{decision_label(value)},{value!r}")
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_text(args.output, text, "predictions")
         print(f"wrote {len(rows)} predictions to {args.output}")
     else:
         print(text, end="")
@@ -248,7 +254,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     print(result.report.to_text(), end="")
     if args.report:
-        Path(args.report).write_text(result.report.to_kv(), encoding="utf-8")
+        _write_text(args.report, result.report.to_kv(), "report")
         _note(args, f"wrote report to {args.report}")
     if args.save_model:
         best = result.report.best()

@@ -102,12 +102,25 @@ class Normalizer:
         """Indices of features whose training column had zero span."""
         return tuple(i for i in range(N_FEATURES) if self.maxs[i] == self.mins[i])
 
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """Scale raw feature values onto the training range, without clamping.
+
+        Raises ConstantFeature when a column has zero span.
+        """
+        constant = self.constant_features
+        if constant:
+            names = ", ".join(FEATURE_NAMES[i] for i in constant)
+            raise ConstantFeature(f"zero training span for feature(s): {names}")
+        lo = np.asarray(self.mins, dtype=np.float64)
+        hi = np.asarray(self.maxs, dtype=np.float64)
+        return (x - lo) / (hi - lo)
+
 
 def black_pixel_rate(img: BinaryImage) -> float:
     """Fraction of pixels that are black (0)."""
     if img.pixel_count == 0:
         raise EmptyImage("cannot compute a pixel rate on an empty image")
-    return int(np.count_nonzero(img.pixels == 0)) / img.pixel_count
+    return (img.pixel_count - int(np.count_nonzero(img.pixels))) / img.pixel_count
 
 
 def white_pixel_rate(img: BinaryImage) -> float:
@@ -132,7 +145,7 @@ def grid_white_counts(img: BinaryImage, cfg: GridConfig) -> list[int]:
         )
     trimmed = img.pixels[: rows * edge, : cols * edge]
     tiles = trimmed.reshape(rows, edge, cols, edge)
-    counts = (tiles == 255).astype(np.int64).sum(axis=(1, 3))
+    counts = np.count_nonzero(tiles, axis=(1, 3))
     return [int(c) for c in counts.reshape(-1)]
 
 
@@ -173,12 +186,5 @@ def fit_normalizer(rows: Iterable[FeatureVector]) -> Normalizer:
 
 def apply_normalizer(nz: Normalizer, v: FeatureVector) -> NormalizedFeatureVector:
     """Scale one row by the fitted training range, without clamping."""
-    constant = nz.constant_features
-    if constant:
-        names = ", ".join(FEATURE_NAMES[i] for i in constant)
-        raise ConstantFeature(f"zero training span for feature(s): {names}")
-    raw = v.as_array()
-    lo = np.asarray(nz.mins, dtype=np.float64)
-    hi = np.asarray(nz.maxs, dtype=np.float64)
-    scaled = (raw - lo) / (hi - lo)
+    scaled = nz.transform(v.as_array())
     return NormalizedFeatureVector(float(scaled[0]), float(scaled[1]))

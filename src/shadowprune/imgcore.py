@@ -3,7 +3,12 @@
 Images are thin wrappers around read-only numpy arrays: RGB as
 (height, width, 3) uint8, grayscale as (height, width) uint8, and binary
 as grayscale restricted to {0, 255} where 0 marks shadow and 255 light.
-File I/O covers PPM (P3/P6) and PGM (P2/P5) with maxval 255 only.
+File I/O covers PPM (P3/P6) and PGM (P2/P5) with maxval 255 only; a PGM
+decodes straight to a GrayImage and a PPM to an RgbImage.
+
+Pixels are checked and frozen once, where they enter: in the public
+constructors and in `decode_image`.  Arrays this package computes from
+already-checked images are wrapped as they are, without a copy or a scan.
 """
 
 from __future__ import annotations
@@ -20,59 +25,47 @@ GRAY_WEIGHTS = (0.21, 0.72, 0.07)
 
 _WHITESPACE = frozenset(b" \t\r\n\v\f")
 
-
-def _freeze(px: np.ndarray) -> np.ndarray:
-    out = np.array(px, dtype=np.uint8, copy=True)
-    out.setflags(write=False)
-    return out
+# Pixels per block of the colour grayscale, small enough for the float
+# temporaries to stay in cache.
+_GRAY_CHUNK = 1 << 16
 
 
 def _check_intensity(px: np.ndarray, what: str) -> None:
     if not np.issubdtype(px.dtype, np.integer):
         raise ValueError(f"{what} pixels must be integers, got dtype {px.dtype}")
-    if px.size and (int(px.min()) < 0 or int(px.max()) > 255):
+    if px.dtype != np.uint8 and px.size and (int(px.min()) < 0 or int(px.max()) > 255):
         raise ValueError(f"{what} pixel values must lie in [0, 255]")
 
 
 @dataclass(frozen=True)
-class RgbImage:
-    """Row-major (height, width, 3) color image, channels in [0, 255]."""
-
+class _Image:
     pixels: np.ndarray
+
+    _NDIM = 2
+    _KIND = "gray"
 
     def __post_init__(self):
         px = np.asarray(self.pixels)
-        if px.ndim != 3 or px.shape[2] != 3:
-            raise ValueError(f"RGB pixels must have shape (h, w, 3), got {px.shape}")
-        _check_intensity(px, "RGB")
-        object.__setattr__(self, "pixels", _freeze(px))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def pixel_count(self) -> int:
-        return self.pixels.shape[0] * self.pixels.shape[1]
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """Row-major (height, width) intensity image, values in [0, 255]."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels)
-        if px.ndim != 2:
-            raise ValueError(f"gray pixels must have shape (h, w), got {px.shape}")
-        _check_intensity(px, "gray")
+        if px.ndim != self._NDIM or (px.ndim == 3 and px.shape[2] != 3):
+            shape = "(h, w, 3)" if self._NDIM == 3 else "(h, w)"
+            raise ValueError(f"{self._KIND} pixels must have shape {shape}, got {px.shape}")
+        _check_intensity(px, self._KIND)
         self._validate(px)
-        object.__setattr__(self, "pixels", _freeze(px))
+        px = px.astype(np.uint8, copy=True)
+        px.setflags(write=False)
+        object.__setattr__(self, "pixels", px)
+
+    @classmethod
+    def _trusted(cls, px: np.ndarray):
+        """Wrap uint8 pixels that are valid by construction, without a copy.
+
+        The caller guarantees the shape and values and that no writable
+        alias of `px` escapes.
+        """
+        img = object.__new__(cls)
+        px.setflags(write=False)
+        object.__setattr__(img, "pixels", px)
+        return img
 
     def _validate(self, px: np.ndarray) -> None:
         pass
@@ -90,6 +83,17 @@ class GrayImage:
         return self.pixels.shape[0] * self.pixels.shape[1]
 
 
+class RgbImage(_Image):
+    """Row-major (height, width, 3) color image, channels in [0, 255]."""
+
+    _NDIM = 3
+    _KIND = "RGB"
+
+
+class GrayImage(_Image):
+    """Row-major (height, width) intensity image, values in [0, 255]."""
+
+
 class BinaryImage(GrayImage):
     """Gray image whose values are exactly 0 (shadow) or 255 (light)."""
 
@@ -98,17 +102,36 @@ class BinaryImage(GrayImage):
             raise ValueError("binary pixels must be exactly 0 or 255")
 
 
-def to_gray(img: RgbImage) -> GrayImage:
+def to_gray(img: RgbImage | GrayImage) -> GrayImage:
     """Convert RGB to grayscale as 0.21 r + 0.72 g + 0.07 b per pixel.
 
     Results are rounded half-up so the output stays integral; equal-channel
-    pixels (v, v, v) map back to v for every v in [0, 255].
+    pixels (v, v, v) map back to v for every v in [0, 255].  A GrayImage is
+    already gray and comes back unchanged.
+
+    The float64 formula runs over blocks of rows through two reused
+    buffers, with the same operations in the same order on every pixel.
     """
-    rgb = img.pixels.astype(np.float64)
+    if isinstance(img, GrayImage):
+        return img
     wr, wg, wb = GRAY_WEIGHTS
-    gray = wr * rgb[:, :, 0] + wg * rgb[:, :, 1] + wb * rgb[:, :, 2]
-    gray = np.clip(np.floor(gray + 0.5), 0.0, 255.0)
-    return GrayImage(gray.astype(np.uint8))
+    rgb = img.pixels
+    out = np.empty((img.height, img.width), dtype=np.uint8)
+    step = max(1, _GRAY_CHUNK // max(1, img.width))
+    acc = np.empty((min(step, img.height), img.width))
+    term = np.empty_like(acc)
+    for top in range(0, img.height, step):
+        block = rgb[top : top + step]
+        gray = acc[: block.shape[0]]
+        part = term[: block.shape[0]]
+        # dtype pins the float64 loop, which numpy 1.x would not pick
+        # for uint8 times a Python float.
+        np.multiply(block[:, :, 0], wr, out=gray, dtype=np.float64)
+        gray += np.multiply(block[:, :, 1], wg, out=part, dtype=np.float64)
+        gray += np.multiply(block[:, :, 2], wb, out=part, dtype=np.float64)
+        gray += 0.5
+        out[top : top + step] = np.floor(gray, out=gray)
+    return GrayImage._trusted(out)
 
 
 # --- netpbm parsing -------------------------------------------------------
@@ -144,6 +167,14 @@ def _parse_header_int(buf: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def _read_plain_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
+    # Every sample takes at least two bytes, a separator and a digit, so
+    # a header asking for more than the body can hold is rejected before
+    # anything is allocated from it.
+    if count > (len(buf) - pos) // 2:
+        raise MalformedFile(
+            f"plain raster truncated: {count} samples cannot fit in "
+            f"{len(buf) - pos} bytes"
+        )
     values = np.empty(count, dtype=np.int64)
     for i in range(count):
         values[i], pos = _parse_header_int(buf, pos, "sample")
@@ -160,30 +191,31 @@ def _read_plain_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
             raise MalformedFile("trailing data after plain raster")
     if values.size and (values.min() < 0 or values.max() > 255):
         raise MalformedFile("sample value outside [0, 255]")
-    return values
+    return values.astype(np.uint8)
 
 
 def _read_raw_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
     if pos >= len(buf) or buf[pos] not in _WHITESPACE:
         raise MalformedFile("missing whitespace before raw raster")
     pos += 1  # exactly one separator byte
-    payload = buf[pos : pos + count]
-    if len(payload) < count:
+    found = len(buf) - pos
+    if found < count:
         raise MalformedFile(
-            f"raw raster truncated: expected {count} bytes, found {len(payload)}"
+            f"raw raster truncated: expected {count} bytes, found {found}"
         )
-    rest = buf[pos + count :]
-    if rest.strip(b" \t\r\n\v\f"):
+    if buf[pos + count :].strip(b" \t\r\n\v\f"):
         raise MalformedFile("trailing data after raw raster")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    # A view of immutable bytes is read-only and safe to keep; a writable
+    # buffer (bytearray) is copied so the caller cannot change the pixels.
+    samples = np.frombuffer(buf, dtype=np.uint8, count=count, offset=pos)
+    return samples.copy() if samples.flags.writeable else samples
 
 
-def decode_image(data: bytes) -> RgbImage:
-    """Decode PPM (P3/P6) or PGM (P2/P5) bytes into an RgbImage.
+def decode_image(data: bytes) -> RgbImage | GrayImage:
+    """Decode PPM (P3/P6) bytes into an RgbImage, PGM (P2/P5) into a GrayImage.
 
-    Grayscale files are promoted to RGB with equal channels; `to_gray`
-    recovers the original values exactly, so one decode path serves both.
-    Only maxval 255 is accepted.
+    Only maxval 255 is accepted.  The pixels of a raw file read from
+    immutable `bytes` are a read-only view of `data`, not a copy.
     """
     if len(data) < 2:
         raise MalformedFile("file too short for a netpbm header")
@@ -209,9 +241,8 @@ def decode_image(data: bytes) -> RgbImage:
         samples = _read_plain_samples(data, pos, count)
 
     if channels == 3:
-        return RgbImage(samples.reshape(height, width, 3))
-    gray = samples.reshape(height, width)
-    return RgbImage(np.repeat(gray[:, :, np.newaxis], 3, axis=2))
+        return RgbImage._trusted(samples.reshape(height, width, 3))
+    return GrayImage._trusted(samples.reshape(height, width))
 
 
 def encode_pgm(img: GrayImage, raw: bool = True) -> bytes:
@@ -234,7 +265,7 @@ def encode_ppm(img: RgbImage, raw: bool = True) -> bytes:
     return (header + rows + "\n").encode("ascii")
 
 
-def load_image(path: str | Path) -> RgbImage:
+def load_image(path: str | Path) -> RgbImage | GrayImage:
     """Read and decode an image file; wraps filesystem errors as IoError."""
     try:
         data = Path(path).read_bytes()

@@ -1,10 +1,8 @@
 """Patch pooling that shrinks a binary image by an integer factor.
 
-Each p x p patch collapses to one output pixel: a patch whose summed
-pixel values fall below a small cutoff becomes black (0), any other
-patch white (255).  On {0, 255} images the cutoff of 5 makes this a
-max-pool, since a single white pixel already pushes the sum to 255.
-Trailing rows/columns that do not fill a whole patch are dropped
+Each p x p patch collapses to one output pixel, its maximum: a patch
+holding any white (255) pixel becomes white, an all-black patch black
+(0).  Trailing rows/columns that do not fill a whole patch are dropped
 (floor edges).
 """
 
@@ -18,11 +16,6 @@ from .errors import ImageTooSmall
 from .imgcore import BinaryImage
 
 DEFAULT_POOL_FACTOR = 3
-
-# Patch value sums below this collapse to black.  Any constant in
-# (0, 255] behaves identically on strict binary input, so the cutoff is
-# not exposed as configuration.
-_BLACK_SUM_CUTOFF = 5
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,11 @@ def pool(img: BinaryImage, cfg: PoolConfig = PoolConfig()) -> BinaryImage:
             f"{img.height}x{img.width} image has no full {factor}x{factor} patch"
         )
     trimmed = img.pixels[: out_h * factor, : out_w * factor]
-    patches = trimmed.reshape(out_h, factor, out_w, factor)
-    # uint8 sums wrap past 255; accumulate in int64.
-    sums = patches.astype(np.int64).sum(axis=(1, 3))
-    return BinaryImage(np.where(sums < _BLACK_SUM_CUTOFF, 0, 255))
+    # Max over the k-th row of every patch, then over the k-th column.
+    rows = trimmed[0::factor]
+    for k in range(1, factor):
+        rows = np.maximum(rows, trimmed[k::factor])
+    out = rows[:, 0::factor]
+    for k in range(1, factor):
+        out = np.maximum(out, rows[:, k::factor])
+    return BinaryImage._trusted(out)

@@ -183,9 +183,7 @@ def _model_space(model: SvmModel, x) -> np.ndarray:
             f"query has shape {arr.shape}, model expects ({model.support_x.shape[1]},)"
         )
     if model.normalizer is not None:
-        lo = np.asarray(model.normalizer.mins, dtype=np.float64)
-        hi = np.asarray(model.normalizer.maxs, dtype=np.float64)
-        arr = (arr - lo) / (hi - lo)
+        arr = model.normalizer.transform(arr)
     return arr
 
 
@@ -202,9 +200,14 @@ def decision_value(model: SvmModel, x) -> float:
     return _decide(model, _model_space(model, x))
 
 
+def decision_label(value: float) -> int:
+    """Class of a decision value; the boundary itself (f = 0) counts as +1."""
+    return 1 if value >= 0.0 else -1
+
+
 def predict(model: SvmModel, x) -> int:
-    """Class label; the boundary itself (f = 0) counts as +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
+    """Class label of x, `decision_label` of its decision value."""
+    return decision_label(decision_value(model, x))
 
 
 def support_vectors(model: SvmModel, data: TrainingSet) -> tuple[int, ...]:

@@ -18,6 +18,8 @@ from .imgcore import BinaryImage, GrayImage
 
 LEVELS = 256
 
+_HISTOGRAM_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Histogram:
@@ -80,8 +82,12 @@ def histogram(img: GrayImage) -> Histogram:
     """Count pixels per intensity level."""
     if img.pixel_count == 0:
         raise EmptyImage("cannot histogram an empty image")
-    counts = np.bincount(img.pixels.reshape(-1), minlength=LEVELS)
-    return Histogram(counts.astype(np.int64), img.pixel_count)
+    # bincount casts its input to intp; blocks keep that copy in cache.
+    flat = img.pixels.reshape(-1)
+    counts = np.zeros(LEVELS, dtype=np.int64)
+    for start in range(0, flat.size, _HISTOGRAM_CHUNK):
+        counts += np.bincount(flat[start : start + _HISTOGRAM_CHUNK], minlength=LEVELS)
+    return Histogram(counts, img.pixel_count)
 
 
 def otsu_threshold(h: Histogram) -> OtsuResult:
@@ -130,7 +136,9 @@ def binarize(img: GrayImage, t: int) -> BinaryImage:
     """Map intensities >= t to 255 (light) and the rest to 0 (shadow)."""
     if not 0 <= t <= 255:
         raise ValueError(f"threshold {t} outside [0, 255]")
-    return BinaryImage(np.where(img.pixels >= t, 255, 0))
+    light = (img.pixels >= t).view(np.uint8)
+    light *= 255
+    return BinaryImage._trusted(light)
 
 
 def auto_binarize(img: GrayImage) -> tuple[BinaryImage, OtsuResult]:

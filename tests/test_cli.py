@@ -73,9 +73,8 @@ class TestBinarize:
         out = tmp_path / "out.pgm"
         assert main(["binarize", "--no-pool", str(src), str(out)]) == 0
         assert capsys.readouterr().out.startswith("otsu threshold=")
-        # decoding promotes grayscale to three identical channels
         img = decode_image(out.read_bytes())
-        assert img.pixels.shape == (60, 60, 3)
+        assert img.pixels.shape == (60, 60)
         assert set(np.unique(img.pixels)) <= {0, 255}
 
     def test_pooling_shrinks_by_factor(self, tmp_path, capsys):
@@ -83,7 +82,7 @@ class TestBinarize:
         bimodal_pgm(src, rate=0.3)
         out = tmp_path / "out.pgm"
         assert main(["binarize", str(src), str(out)]) == 0
-        assert decode_image(out.read_bytes()).pixels.shape == (20, 20, 3)
+        assert decode_image(out.read_bytes()).pixels.shape == (20, 20)
 
     def test_plain_writes_p2(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
@@ -179,6 +178,35 @@ class TestTrainPredict:
         out = capsys.readouterr().out
         assert out.startswith("tree_id,photo_id,prediction,decision_value")
 
+    def test_predict_output_into_missing_directory(self, tree_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.model"
+        assert main(["train", str(tree_csv), str(model_path)]) == 0
+        missing = tmp_path / "no_such_dir" / "p.csv"
+        code = main(
+            ["predict", str(model_path), str(tree_csv), "--output", str(missing)]
+        )
+        assert code == 2
+        assert "cannot write predictions" in capsys.readouterr().err
+
+    def test_zero_span_normalizer_in_model_is_numeric_error(
+        self, tree_csv, tmp_path, capsys
+    ):
+        model_path = tmp_path / "m.model"
+        assert main(["train", str(tree_csv), str(model_path)]) == 0
+        lines = model_path.read_text().splitlines()
+        mins = next(ln for ln in lines if ln.startswith("normalizer_mins ")).split()
+        for i, line in enumerate(lines):
+            if line.startswith("normalizer_maxs "):
+                maxs = line.split()
+                maxs[1] = mins[1]
+                lines[i] = " ".join(maxs)
+        model_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(tree_csv)]) == 3
+        captured = capsys.readouterr()
+        assert "zero training span for feature(s): black_pixel_rate" in captured.err
+        assert "inf" not in captured.out and "nan" not in captured.out
+
     def test_rbf_train(self, tree_csv, tmp_path, capsys):
         model_path = tmp_path / "r.model"
         assert main(["train", "--kernel", "rbf", str(tree_csv), str(model_path)]) == 0
@@ -208,6 +236,15 @@ class TestEvaluate:
         assert text.startswith("shadowprune-report v1")
         assert text.rstrip().endswith("end")
         assert load_model(model_path).normalizer is not None
+
+    def test_report_into_missing_directory(self, dataset, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir" / "report.kv"
+        code = main(
+            ["evaluate", "--kernel", "linear", str(dataset / "manifest.csv"),
+             "--report", str(missing)]
+        )
+        assert code == 2
+        assert "cannot write report" in capsys.readouterr().err
 
     def test_single_kernel_no_winner_line(self, dataset, capsys):
         code = main(

@@ -104,6 +104,23 @@ class TestToGray:
         img = RgbImage(np.zeros((4, 7, 3), dtype=np.uint8))
         assert to_gray(img).pixels.shape == (4, 7)
 
+    def test_matches_formula_on_every_triple(self):
+        # All 2^24 triples, 16 red levels at a time; the reference is
+        # oracles.gray_formula vectorised with the same float64 operations
+        # in the same order.
+        gb = np.arange(1 << 16)
+        g = (gb >> 8).astype(np.float64)
+        b = (gb & 0xFF).astype(np.float64)
+        for r0 in range(0, 256, 16):
+            r = np.arange(r0, r0 + 16, dtype=np.float64)[:, np.newaxis]
+            px = np.empty((16, 1 << 16, 3), dtype=np.uint8)
+            px[:, :, 0] = r
+            px[:, :, 1] = g
+            px[:, :, 2] = b
+            got = to_gray(RgbImage(px)).pixels
+            want = np.clip(np.floor(0.21 * r + 0.72 * g + 0.07 * b + 0.5), 0, 255)
+            assert np.array_equal(got, want), f"red levels {r0}..{r0 + 15}"
+
 
 class TestDecode:
     def test_plain_ppm_all_white(self):
@@ -145,10 +162,38 @@ class TestDecode:
         img = decode_image(b"P2\n# a comment\n1 2\n# another\n255\n5\n6\n")
         assert to_gray(img).pixels.tolist() == [[5], [6]]
 
-    def test_pgm_promotes_to_equal_channels(self):
+    def test_pgm_decodes_to_gray(self):
         img = decode_image(b"P2\n2 1\n255\n9 200\n")
-        assert img.pixels[0, 0].tolist() == [9, 9, 9]
-        assert img.pixels[0, 1].tolist() == [200, 200, 200]
+        assert isinstance(img, GrayImage)
+        assert img.pixels.shape == (1, 2)
+        assert img.pixels.tolist() == [[9, 200]]
+
+    def test_raw_pgm_decodes_to_gray(self):
+        img = decode_image(b"P5\n2 1\n255\n\x09\xc8")
+        assert isinstance(img, GrayImage)
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.tolist() == [[9, 200]]
+        assert to_gray(img) is img
+
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_bytearray_input_is_not_aliased(self, raw):
+        data = bytearray(encode_pgm(GrayImage(np.array([[1, 2], [3, 4]], np.uint8)), raw=raw))
+        img = decode_image(data)
+        data[-2:] = b"99"
+        assert img.pixels.tolist() == [[1, 2], [3, 4]]
+        assert not img.pixels.flags.writeable
+
+    def test_pixels_from_bytes_are_read_only(self):
+        img = decode_image(encode_ppm(rgb_of((1, 2, 3), (4, 5, 6))))
+        assert isinstance(img, RgbImage)
+        with pytest.raises(ValueError):
+            img.pixels[0, 0, 0] = 9
+
+    def test_plain_sample_count_bounded_by_body(self):
+        # 10^10 samples cannot fit in a two-byte body: rejected before
+        # any buffer is sized from the header.
+        with pytest.raises(MalformedFile, match="cannot fit"):
+            decode_image(b"P2\n100000 100000\n255\n0\n")
 
 
 class TestRoundTrips:
