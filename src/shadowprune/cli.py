@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-4,
                    help="solver stopping tolerance (default 1e-4)")
     p.add_argument("--max-iter", type=int, default=None,
-                   help="solver step budget (default 10*n*1000)")
+                   help="solver examination budget (default 10*n*1000)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="model + features CSV -> labels")
