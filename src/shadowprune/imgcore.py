@@ -203,12 +203,13 @@ def _read_raw_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
         raise MalformedFile(
             f"raw raster truncated: expected {count} bytes, found {found}"
         )
-    if buf[pos + count :].strip(b" \t\r\n\v\f"):
+    if bytes(buf[pos + count :]).strip(b" \t\r\n\v\f"):
         raise MalformedFile("trailing data after raw raster")
-    # A view of immutable bytes is read-only and safe to keep; a writable
-    # buffer (bytearray) is copied so the caller cannot change the pixels.
+    # A view of immutable bytes is read-only and safe to keep; any other
+    # buffer (a bytearray, or a read-only memoryview of one) is copied so
+    # the caller cannot change the pixels.
     samples = np.frombuffer(buf, dtype=np.uint8, count=count, offset=pos)
-    return samples.copy() if samples.flags.writeable else samples
+    return samples if isinstance(buf, bytes) else samples.copy()
 
 
 def decode_image(data: bytes) -> RgbImage | GrayImage:

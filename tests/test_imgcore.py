@@ -176,9 +176,12 @@ class TestDecode:
         assert to_gray(img) is img
 
     @pytest.mark.parametrize("raw", [True, False])
-    def test_bytearray_input_is_not_aliased(self, raw):
+    @pytest.mark.parametrize(
+        "wrap", [bytearray, lambda b: memoryview(b).toreadonly()], ids=["bytearray", "memoryview"]
+    )
+    def test_bytearray_input_is_not_aliased(self, raw, wrap):
         data = bytearray(encode_pgm(GrayImage(np.array([[1, 2], [3, 4]], np.uint8)), raw=raw))
-        img = decode_image(data)
+        img = decode_image(wrap(data))
         data[-2:] = b"99"
         assert img.pixels.tolist() == [[1, 2], [3, 4]]
         assert not img.pixels.flags.writeable
