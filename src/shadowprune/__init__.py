@@ -2,6 +2,8 @@
 
 Pipeline: grayscale -> Otsu threshold -> optional patch pooling -> two
 features (black pixel rate, grid uniformity) -> min-max scaling -> SVM.
+Feature rows travel as (n, 2) float64 arrays, ids and labels beside them
+in a FeatureTable; Normalizer.transform is the one scaling step.
 """
 
 from .errors import (
@@ -29,11 +31,8 @@ from .errors import (
     UnsupportedFormat,
 )
 from .features import (
-    FeatureVector,
     GridConfig,
-    NormalizedFeatureVector,
     Normalizer,
-    apply_normalizer,
     black_pixel_rate,
     extract_features,
     fit_normalizer,
@@ -53,14 +52,17 @@ from .imgcore import (
 )
 from .pipeline import (
     EvalReport,
+    FeatureTable,
     SamplePoint,
     SplitSpec,
     TreeRecord,
     extract_dataset,
     extract_tree_features,
     ingest,
+    read_features_csv,
     run_experiment,
     split,
+    write_features_csv,
 )
 from .pooling import PoolConfig, pool
 from .svm import (
@@ -68,6 +70,7 @@ from .svm import (
     TrainConfig,
     TrainingSet,
     decision_value,
+    decision_values,
     load_model,
     predict,
     save_model,

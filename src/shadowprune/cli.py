@@ -13,13 +13,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError, InvalidConfig, IoError, NumericError, ShadowPruneError
-from .features import GridConfig, apply_normalizer, fit_normalizer
+from .features import GridConfig, fit_normalizer
 from .imgcore import load_image, save_pgm, to_gray
 from .pipeline import (
-    FeatureRow,
+    FeatureTable,
     SplitSpec,
     extract_dataset_tolerant,
     ingest,
@@ -34,7 +32,7 @@ from .svm import (
     TrainConfig,
     TrainingSet,
     decision_label,
-    decision_value,
+    decision_values,
     load_model,
     save_model,
     train,
@@ -182,24 +180,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
         print(f"skipped tree {tree_id}: {reason}", file=sys.stderr)
     if not records:
         raise DataError("no tree could be extracted")
-    if args.per_tree:
-        rows = [FeatureRow(r.tree_id, "", r.features, r.label) for r in records]
-    else:
-        rows = [
-            FeatureRow(p.tree_id, p.photo_id, p.features, rec.label)
-            for rec in records
-            for p in rec.points
-        ]
-    write_features_csv(args.output, rows)
-    print(f"wrote {len(rows)} feature rows to {args.output}")
+    table = FeatureTable.from_records(records, per_tree=args.per_tree)
+    write_features_csv(args.output, table)
+    print(f"wrote {len(table)} feature rows to {args.output}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    rows = read_features_csv(args.features)
-    nz = fit_normalizer([r.features for r in rows])
-    x = np.array([apply_normalizer(nz, r.features).as_array() for r in rows])
-    y = np.array([r.label for r in rows], dtype=np.float64)
+    table = read_features_csv(args.features)
+    nz = fit_normalizer(table.x)
     cfg = TrainConfig(
         kernel=args.kernel,
         C=args.c,
@@ -208,10 +197,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         max_iterations=args.max_iter,
         rng_seed=args.seed,
     )
-    model = train(TrainingSet(x, y), cfg).with_context(normalizer=nz)
+    tset = TrainingSet(nz.transform(table.x), table.y)
+    model = train(tset, cfg).with_context(normalizer=nz)
     save_model(model, args.output)
     print(
-        f"trained {args.kernel} model on {len(rows)} rows "
+        f"trained {args.kernel} model on {len(table)} rows "
         f"({len(model.support_vector_indices)} support vectors) -> {args.output}"
     )
     return 0
@@ -219,15 +209,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    rows = read_features_csv(args.features)
+    table = read_features_csv(args.features)
     lines = [",".join(PREDICTIONS_FIELDS)]
-    for r in rows:
-        value = decision_value(model, r.features)
-        lines.append(f"{r.tree_id},{r.photo_id},{decision_label(value)},{value!r}")
+    for tree_id, photo_id, value in zip(
+        table.tree_ids, table.photo_ids, decision_values(model, table.x).tolist()
+    ):
+        lines.append(f"{tree_id},{photo_id},{decision_label(value)},{value!r}")
     text = "\n".join(lines) + "\n"
     if args.output:
         _write_text(args.output, text, "predictions")
-        print(f"wrote {len(rows)} predictions to {args.output}")
+        print(f"wrote {len(table)} predictions to {args.output}")
     else:
         print(text, end="")
     return 0
@@ -295,8 +286,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    rows = read_features_csv(args.features)
-    write_svg(args.output, rows, model)
+    write_svg(args.output, read_features_csv(args.features), model)
     print(f"wrote plot to {args.output}")
     return 0
 

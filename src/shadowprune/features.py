@@ -7,15 +7,16 @@ Two numbers summarize a binarized canopy shadow image:
 * uniformity, the population standard deviation of white-pixel counts
   over disjoint square grids, low when light comes through evenly.
 
-Columns are min-max scaled onto the training range before classification.
-Feature order is fixed: index 0 = black_pixel_rate, index 1 = uniformity.
+A set of photos or trees is an (n, 2) float64 array, one row each, with
+fixed column order: 0 = black_pixel_rate, 1 = uniformity.  Columns are
+min-max scaled onto the training range before classification.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,44 +38,6 @@ class GridConfig:
     def __post_init__(self):
         if self.grid_edge < 1:
             raise ValueError(f"grid_edge must be >= 1, got {self.grid_edge}")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Raw (unnormalized) per-image features."""
-
-    black_pixel_rate: float
-    uniformity: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.black_pixel_rate) and math.isfinite(self.uniformity)):
-            raise ValueError("features must be finite")
-        if not 0.0 <= self.black_pixel_rate <= 1.0:
-            raise ValueError(f"black_pixel_rate {self.black_pixel_rate} outside [0, 1]")
-        if self.uniformity < 0.0:
-            raise ValueError(f"uniformity {self.uniformity} is negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.black_pixel_rate, self.uniformity], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class NormalizedFeatureVector:
-    """Features after min-max scaling.
-
-    Training rows land in [0, 1] by construction; rows outside the
-    training range map outside [0, 1] and are deliberately not clamped.
-    """
-
-    black_pixel_rate: float
-    uniformity: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.black_pixel_rate) and math.isfinite(self.uniformity)):
-            raise ValueError("features must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.black_pixel_rate, self.uniformity], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -103,9 +66,10 @@ class Normalizer:
         return tuple(i for i in range(N_FEATURES) if self.maxs[i] == self.mins[i])
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """Scale raw feature values onto the training range, without clamping.
+        """Scale raw feature rows onto the training range, without clamping.
 
-        Raises ConstantFeature when a column has zero span.
+        The one normalization path: training, prediction and plotting all
+        scale through here.  Raises ConstantFeature when a column has zero span.
         """
         constant = self.constant_features
         if constant:
@@ -121,13 +85,6 @@ def black_pixel_rate(img: BinaryImage) -> float:
     if img.pixel_count == 0:
         raise EmptyImage("cannot compute a pixel rate on an empty image")
     return (img.pixel_count - int(np.count_nonzero(img.pixels))) / img.pixel_count
-
-
-def white_pixel_rate(img: BinaryImage) -> float:
-    """Fraction of pixels that are white (255); complement of the black rate."""
-    if img.pixel_count == 0:
-        raise EmptyImage("cannot compute a pixel rate on an empty image")
-    return int(np.count_nonzero(img.pixels == 255)) / img.pixel_count
 
 
 def grid_white_counts(img: BinaryImage, cfg: GridConfig) -> list[int]:
@@ -156,22 +113,21 @@ def uniformity(counts: Sequence[int]) -> float:
     return float(np.std(np.asarray(counts, dtype=np.float64)))
 
 
-def extract_features(img: BinaryImage, cfg: GridConfig) -> FeatureVector:
-    """Both features of one binarized image."""
-    return FeatureVector(
-        black_pixel_rate=black_pixel_rate(img),
-        uniformity=uniformity(grid_white_counts(img, cfg)),
-    )
+def extract_features(img: BinaryImage, cfg: GridConfig) -> np.ndarray:
+    """The feature row (black_pixel_rate, uniformity) of one binarized image."""
+    return np.array([black_pixel_rate(img), uniformity(grid_white_counts(img, cfg))])
 
 
-def fit_normalizer(rows: Iterable[FeatureVector]) -> Normalizer:
-    """Learn per-feature min/max from a training collection.
+def fit_normalizer(x: np.ndarray) -> Normalizer:
+    """Learn per-feature min/max from the (n, 2) training feature rows.
 
     Needs at least two rows.  A constant column does not fail here; it
     is exposed via Normalizer.constant_features and only becomes an
     error if the normalizer is applied.
     """
-    matrix = np.array([r.as_array() for r in rows], dtype=np.float64)
+    matrix = np.asarray(x, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] != N_FEATURES:
+        raise ValueError(f"feature rows must be (n, {N_FEATURES}), got {matrix.shape}")
     if matrix.shape[0] < 2:
         raise InsufficientData(
             f"normalizer needs >= 2 rows, got {matrix.shape[0]}"
@@ -182,9 +138,3 @@ def fit_normalizer(rows: Iterable[FeatureVector]) -> Normalizer:
         mins=(float(mins[0]), float(mins[1])),
         maxs=(float(maxs[0]), float(maxs[1])),
     )
-
-
-def apply_normalizer(nz: Normalizer, v: FeatureVector) -> NormalizedFeatureVector:
-    """Scale one row by the fitted training range, without clamping."""
-    scaled = nz.transform(v.as_array())
-    return NormalizedFeatureVector(float(scaled[0]), float(scaled[1]))

@@ -31,17 +31,17 @@ from .errors import (
     MissingImage,
     ShadowPruneError,
 )
-from .features import (
-    FeatureVector,
-    GridConfig,
-    Normalizer,
-    apply_normalizer,
-    extract_features,
-    fit_normalizer,
-)
+from .features import N_FEATURES, GridConfig, extract_features, fit_normalizer
 from .imgcore import load_image, to_gray
 from .pooling import PoolConfig, pool
-from .svm import SvmModel, TrainConfig, TrainingSet, predict, train
+from .svm import (
+    SvmModel,
+    TrainConfig,
+    TrainingSet,
+    decision_label,
+    decision_values,
+    train,
+)
 from .threshold import auto_binarize
 
 MANIFEST_FIELDS = ("tree_id", "photo_id", "image_path", "label")
@@ -57,7 +57,7 @@ class SamplePoint:
     tree_id: str
     photo_id: str
     image_path: Path
-    features: FeatureVector | None = None
+    features: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -67,23 +67,13 @@ class TreeRecord:
     tree_id: str
     label: int
     points: tuple[SamplePoint, ...]
-    features: FeatureVector | None = None
+    features: np.ndarray | None = None
 
     def __post_init__(self):
         if self.label not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {self.label}")
         if not self.points:
             raise ValueError(f"tree {self.tree_id} has no sample points")
-
-    def mean_features(self) -> FeatureVector:
-        """Recompute the per-feature mean over the cached point features."""
-        arrays = []
-        for p in self.points:
-            if p.features is None:
-                raise ValueError(f"point {p.photo_id} has no cached features")
-            arrays.append(p.features.as_array())
-        mean = np.mean(np.stack(arrays), axis=0)
-        return FeatureVector(float(mean[0]), float(mean[1]))
 
 
 @dataclass(frozen=True)
@@ -113,6 +103,8 @@ def ingest(manifest_path: str | Path) -> list[TreeRecord]:
             rows = list(reader)
     except OSError as exc:
         raise IoError(f"cannot read manifest {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedFile(f"unreadable manifest {path}: {exc}") from exc
     if not rows:
         raise MalformedFile(f"manifest {path} is empty")
     if tuple(rows[0]) != MANIFEST_FIELDS:
@@ -169,7 +161,7 @@ def effective_grid(grid: GridConfig, pool_cfg: PoolConfig) -> GridConfig:
 
 def extract_point_features(
     point: SamplePoint, pool_cfg: PoolConfig, grid_cfg: GridConfig
-) -> FeatureVector:
+) -> np.ndarray:
     """decode -> gray -> threshold -> optional pool -> features for one photo."""
     gray = to_gray(load_image(point.image_path))
     try:
@@ -190,8 +182,8 @@ def extract_tree_features(
         dataclasses.replace(p, features=extract_point_features(p, pool_cfg, grid_cfg))
         for p in rec.points
     )
-    with_points = dataclasses.replace(rec, points=updated)
-    return dataclasses.replace(with_points, features=with_points.mean_features())
+    mean = np.mean(np.stack([p.features for p in updated]), axis=0)
+    return dataclasses.replace(rec, points=updated, features=mean)
 
 
 def extract_dataset(
@@ -372,17 +364,6 @@ def _require_features(records: Sequence[TreeRecord]) -> None:
             raise ValueError(f"tree {rec.tree_id} has no extracted features")
 
 
-def training_set_from_records(
-    records: Sequence[TreeRecord], nz: Normalizer
-) -> TrainingSet:
-    """Normalized per-tree feature rows as SVM input."""
-    x = np.array(
-        [apply_normalizer(nz, rec.features).as_array() for rec in records]
-    )
-    y = np.array([rec.label for rec in records], dtype=np.float64)
-    return TrainingSet(x, y)
-
-
 def run_experiment(
     records: Sequence[TreeRecord],
     configs: Sequence[TrainConfig],
@@ -400,8 +381,10 @@ def run_experiment(
     """
     _require_features(records)
     train_recs, test_recs = split(records, split_spec)
-    nz = fit_normalizer([rec.features for rec in train_recs])
-    tset = training_set_from_records(train_recs, nz)
+    x = np.array([rec.features for rec in train_recs])
+    nz = fit_normalizer(x)
+    tset = TrainingSet(nz.transform(x), [rec.label for rec in train_recs])
+    x_test = np.array([rec.features for rec in test_recs])
 
     eff_edge = effective_grid(grid_cfg, pool_cfg).grid_edge
     pool_factor = pool_cfg.p if pool_cfg.enabled else None
@@ -422,7 +405,7 @@ def run_experiment(
             models.append(None)
             predictions.append(None)
             continue
-        preds = tuple(predict(model, rec.features) for rec in test_recs)
+        preds = tuple(decision_label(v) for v in decision_values(model, x_test).tolist())
         tp = sum(1 for p, r in zip(preds, test_recs) if p == 1 and r.label == 1)
         tn = sum(1 for p, r in zip(preds, test_recs) if p == -1 and r.label == -1)
         fp = sum(1 for p, r in zip(preds, test_recs) if p == 1 and r.label == -1)
@@ -462,42 +445,93 @@ def run_experiment(
 
 
 @dataclass(frozen=True)
-class FeatureRow:
-    """One features-CSV row; photo_id is empty for per-tree rows."""
+class FeatureTable:
+    """Feature rows with their ids and labels, as read from or written to a CSV.
 
-    tree_id: str
-    photo_id: str
-    features: FeatureVector
-    label: int
+    x is (n, 2), one row per photo or tree (see features); y holds the
+    labels in {-1, +1}; photo_id is empty on per-tree rows.
+    """
+
+    tree_ids: tuple[str, ...]
+    photo_ids: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.int64)
+        if x.ndim != 2 or x.shape[1] != N_FEATURES:
+            raise ValueError(f"feature rows must be (n, {N_FEATURES}), got {x.shape}")
+        n = x.shape[0]
+        if y.shape != (n,) or len(self.tree_ids) != n or len(self.photo_ids) != n:
+            raise ValueError("one tree id, photo id and label per feature row required")
+        if not np.all(np.isin(y, (-1, 1))):
+            raise ValueError("labels must be -1 or +1")
+        x.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "tree_ids", tuple(self.tree_ids))
+        object.__setattr__(self, "photo_ids", tuple(self.photo_ids))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __len__(self) -> int:
+        return len(self.tree_ids)
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[TreeRecord], per_tree: bool = False
+    ) -> "FeatureTable":
+        """One row per tree, or per photo under each tree's label."""
+        if not records:
+            raise InsufficientData("no extracted records to tabulate")
+        _require_features(records)
+        if per_tree:
+            items = [(r.tree_id, "", r.features, r.label) for r in records]
+        else:
+            items = [(p.tree_id, p.photo_id, p.features, r.label)
+                     for r in records for p in r.points]
+        tree_ids, photo_ids, x, y = zip(*items)
+        return cls(tree_ids, photo_ids, np.array(x), y)
 
 
-def write_features_csv(path: str | Path, rows: Iterable[FeatureRow]) -> None:
+def write_features_csv(path: str | Path, table: FeatureTable) -> None:
     try:
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(FEATURES_FIELDS)
-            for r in rows:
-                writer.writerow(
-                    (r.tree_id, r.photo_id,
-                     repr(r.features.black_pixel_rate),
-                     repr(r.features.uniformity),
-                     str(r.label))
-                )
+            for tree_id, photo_id, (rate, unif), label in zip(
+                table.tree_ids, table.photo_ids, table.x.tolist(), table.y.tolist()
+            ):
+                writer.writerow((tree_id, photo_id, repr(rate), repr(unif), str(label)))
     except OSError as exc:
         raise IoError(f"cannot write features CSV {path}: {exc}") from exc
 
 
-def read_features_csv(path: str | Path) -> list[FeatureRow]:
+def _feature_row(rate: str, unif: str) -> tuple[float, float]:
+    """Parse and range-check one CSV row's features; ValueError if invalid."""
+    r, u = float(rate), float(unif)
+    if not (math.isfinite(r) and math.isfinite(u)):
+        raise ValueError("features must be finite")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"black_pixel_rate {r} outside [0, 1]")
+    if u < 0.0:
+        raise ValueError(f"uniformity {u} is negative")
+    return r, u
+
+
+def read_features_csv(path: str | Path) -> FeatureTable:
     try:
         with Path(path).open("r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoError(f"cannot read features CSV {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedFile(f"unreadable features CSV {path}: {exc}") from exc
     if not rows or tuple(rows[0]) != FEATURES_FIELDS:
         raise MalformedFile(
             f"features CSV header must be {','.join(FEATURES_FIELDS)}"
         )
-    out = []
+    tree_ids, photo_ids, x, y = [], [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(FEATURES_FIELDS):
             raise MalformedFile(f"features CSV line {lineno}: expected 5 fields")
@@ -505,10 +539,12 @@ def read_features_csv(path: str | Path) -> list[FeatureRow]:
         if raw_label not in _LABEL_MAP:
             raise InvalidLabel(f"features CSV line {lineno}: label {raw_label!r}")
         try:
-            fv = FeatureVector(float(rate), float(unif))
+            x.append(_feature_row(rate, unif))
         except ValueError as exc:
             raise MalformedFile(f"features CSV line {lineno}: {exc}") from exc
-        out.append(FeatureRow(tree_id, photo_id, fv, _LABEL_MAP[raw_label]))
-    if not out:
+        tree_ids.append(tree_id)
+        photo_ids.append(photo_id)
+        y.append(_LABEL_MAP[raw_label])
+    if not x:
         raise InsufficientData(f"features CSV {path} has no data rows")
-    return out
+    return FeatureTable(tree_ids, photo_ids, np.array(x), y)

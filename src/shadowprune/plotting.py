@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, IoError
-from .pipeline import FeatureRow
-from .svm import KERNEL_LINEAR, SvmModel, decision_value
+from .pipeline import FeatureTable
+from .svm import KERNEL_LINEAR, SvmModel, decision_values
 
 COLOR_GOOD = "#2b6cb0"   # label +1
 COLOR_POOR = "#dd6b20"   # label -1
@@ -112,18 +111,18 @@ def _clip_line(
 
 
 def render_svg(
-    rows: Sequence[FeatureRow], model: SvmModel, spec: PlotSpec = PlotSpec()
+    table: FeatureTable, model: SvmModel, spec: PlotSpec = PlotSpec()
 ) -> str:
     """Build the complete SVG document as a string."""
     if model.support_x.shape[1] != 2:
         raise DimensionMismatch(
             f"plotting needs a 2-feature model, got {model.support_x.shape[1]}"
         )
-    if not rows:
+    if len(table) == 0:
         raise DimensionMismatch("plotting needs at least one feature row")
 
-    rates = np.array([r.features.black_pixel_rate for r in rows])
-    unifs = np.array([r.features.uniformity for r in rows])
+    rates = table.x[:, 0]
+    unifs = table.x[:, 1]
     x_lo, x_hi = _padded_range(unifs, spec.pad_fraction)
     y_lo, y_hi = _padded_range(rates, spec.pad_fraction)
 
@@ -204,20 +203,21 @@ def render_svg(
     else:
         out.append("<!-- no boundary line: rbf kernel has no linear separator -->")
 
+    points = list(zip(table.x.tolist(), table.y.tolist()))
+    values = decision_values(model, table.x).tolist()
     # support vector rings under the data points
-    for r in rows:
-        f = decision_value(model, r.features)
-        if r.label * f <= 1.0 + model.tolerance:
+    for ((rate, unif), label), f in zip(points, values):
+        if label * f <= 1.0 + model.tolerance:
             out.append(
-                f'<circle class="sv-ring" cx="{sx(r.features.uniformity):.2f}" '
-                f'cy="{sy(r.features.black_pixel_rate):.2f}" r="7" '
+                f'<circle class="sv-ring" cx="{sx(unif):.2f}" '
+                f'cy="{sy(rate):.2f}" r="7" '
                 f'fill="none" stroke="{COLOR_RING}" stroke-width="1.5"/>'
             )
-    for r in rows:
-        color = COLOR_GOOD if r.label == 1 else COLOR_POOR
+    for (rate, unif), label in points:
+        color = COLOR_GOOD if label == 1 else COLOR_POOR
         out.append(
-            f'<circle class="pt" cx="{sx(r.features.uniformity):.2f}" '
-            f'cy="{sy(r.features.black_pixel_rate):.2f}" r="4" fill="{color}"/>'
+            f'<circle class="pt" cx="{sx(unif):.2f}" '
+            f'cy="{sy(rate):.2f}" r="4" fill="{color}"/>'
         )
 
     out.append("</svg>")
@@ -226,11 +226,11 @@ def render_svg(
 
 def write_svg(
     path: str | Path,
-    rows: Sequence[FeatureRow],
+    table: FeatureTable,
     model: SvmModel,
     spec: PlotSpec = PlotSpec(),
 ) -> None:
     try:
-        Path(path).write_text(render_svg(rows, model, spec), encoding="utf-8")
+        Path(path).write_text(render_svg(table, model, spec), encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot write SVG {path}: {exc}") from exc

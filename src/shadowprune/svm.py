@@ -12,21 +12,22 @@ deterministic for a fixed (data, config, seed) triple.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     CorruptModel,
+    DimensionMismatch,
     IoError,
     NonConvergence,
     NumericError,
     SchemaVersionMismatch,
     SingleClassData,
 )
-from .features import FeatureVector, NormalizedFeatureVector, Normalizer
+from .features import Normalizer
 
 KERNEL_LINEAR = "linear"
 KERNEL_RBF = "rbf"
@@ -45,11 +46,7 @@ _STEP_EPS = 1e-12
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Feature rows with labels in {-1, +1}.
-
-    Rows are stored as parallel arrays; `from_rows` accepts the
-    (vector, label) pair form.
-    """
+    """Feature rows with labels in {-1, +1}, as parallel arrays."""
 
     x: np.ndarray
     y: np.ndarray
@@ -70,12 +67,6 @@ class TrainingSet:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple[Sequence[float], int]]) -> "TrainingSet":
-        x = np.array([list(r[0]) for r in rows], dtype=np.float64)
-        y = np.array([r[1] for r in rows], dtype=np.float64)
-        return cls(x, y)
-
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -87,6 +78,14 @@ class TrainingSet:
     @property
     def has_both_labels(self) -> bool:
         return bool(np.any(self.y > 0) and np.any(self.y < 0))
+
+
+def _require_positive(obj, names: tuple[str, ...]) -> None:
+    """ValueError unless each named field is None or a finite number > 0."""
+    for name in names:
+        v = getattr(obj, name)
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if not self.C > 0:
-            raise ValueError(f"C must be > 0, got {self.C}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        _require_positive(self, ("C", "gamma", "tolerance"))
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -144,6 +138,10 @@ class SvmModel:
         dc = np.asarray(self.dual_coef, dtype=np.float64)
         if sx.ndim != 2 or dc.shape != (sx.shape[0],):
             raise ValueError("support_x must be (m, d) with one dual coefficient per row")
+        _require_positive(self, ("C", "gamma", "tolerance"))
+        arrays = (self.b, sx, dc) if self.w is None else (self.b, sx, dc, self.w)
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValueError("b, w, support vectors and dual coefficients must be finite")
         sx.setflags(write=False)
         dc.setflags(write=False)
         object.__setattr__(self, "support_x", sx)
@@ -165,28 +163,6 @@ class SvmModel:
         )
 
 
-def _model_space(model: SvmModel, x) -> np.ndarray:
-    """Map a query into the space the model was trained in.
-
-    FeatureVector and plain arrays are raw features and pass through the
-    embedded normalizer when one is present; NormalizedFeatureVector is
-    taken as already scaled.
-    """
-    if isinstance(x, NormalizedFeatureVector):
-        return x.as_array()
-    if isinstance(x, FeatureVector):
-        arr = x.as_array()
-    else:
-        arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (model.support_x.shape[1],):
-        raise ValueError(
-            f"query has shape {arr.shape}, model expects ({model.support_x.shape[1]},)"
-        )
-    if model.normalizer is not None:
-        arr = model.normalizer.transform(arr)
-    return arr
-
-
 def _decide(model: SvmModel, z: np.ndarray) -> float:
     """Decision function on an already model-space point."""
     if model.kernel == KERNEL_LINEAR:
@@ -195,9 +171,28 @@ def _decide(model: SvmModel, z: np.ndarray) -> float:
     return float(model.dual_coef @ np.exp(-model.gamma * sq) - model.b)
 
 
+def decision_values(model: SvmModel, x) -> np.ndarray:
+    """f of each raw feature row of the (n, d) array x.
+
+    The embedded normalizer, when present, scales the whole batch once;
+    each row then goes through the same per-row evaluation, so a value
+    does not depend on the batch it came in.
+    """
+    z = np.ascontiguousarray(x, dtype=np.float64)
+    d = model.support_x.shape[1]
+    if z.ndim != 2 or z.shape[1] != d:
+        raise DimensionMismatch(f"query rows have shape {z.shape}, model expects (n, {d})")
+    if model.normalizer is not None:
+        z = model.normalizer.transform(z)
+    return np.array([_decide(model, row) for row in z], dtype=np.float64)
+
+
 def decision_value(model: SvmModel, x) -> float:
-    """f(x); its sign picks the class, |f|/||w|| is linear-kernel distance."""
-    return _decide(model, _model_space(model, x))
+    """f(x) for one raw feature row, through decision_values.
+
+    Its sign picks the class; |f|/||w|| is the linear-kernel distance.
+    """
+    return float(decision_values(model, [x])[0])
 
 
 def decision_label(value: float) -> int:
@@ -515,18 +510,22 @@ def deserialize_model(text: str) -> SvmModel:
             raise CorruptModel(f"unknown kernel {kernel!r}")
         n_support = int(fields["n_support"])
         n_features = int(fields["n_features"])
+        if n_features < 1:
+            raise CorruptModel(f"n_features {n_features} is not positive")
         if len(sv_lines) != n_support:
             raise CorruptModel(
                 f"expected {n_support} support rows, found {len(sv_lines)}"
             )
-        support = np.zeros((n_support, n_features))
-        coefs = np.zeros(n_support)
+        # Size the arrays from the parsed rows, never from the header.
+        sv_rows = []
         for r, rest in enumerate(sv_lines):
             vals = [float(tok) for tok in rest.split()]
             if len(vals) != n_features + 1:
                 raise CorruptModel(f"support row {r} has {len(vals)} values")
-            support[r] = vals[:n_features]
-            coefs[r] = vals[-1]
+            sv_rows.append(vals)
+        table = np.array(sv_rows, dtype=np.float64).reshape(n_support, n_features + 1)
+        support = np.ascontiguousarray(table[:, :n_features])
+        coefs = np.ascontiguousarray(table[:, n_features])
         w = None
         gamma = None
         if kernel == KERNEL_LINEAR:
@@ -577,4 +576,6 @@ def load_model(path: str | Path) -> SvmModel:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptModel(f"model file {path} is not UTF-8 text: {exc}") from exc
     return deserialize_model(text)

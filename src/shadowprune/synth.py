@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidConfig, IoError
 from .imgcore import GrayImage, encode_pgm
+from .pipeline import MANIFEST_FIELDS
 
 REGIME_GOOD = "pruned_good"
 REGIME_POOR = "pruned_poor"
@@ -32,7 +33,6 @@ LABEL_GOOD = 1
 LABEL_POOR = -1
 
 MANIFEST_NAME = "manifest.csv"
-MANIFEST_HEADER = ("tree_id", "photo_id", "image_path", "label")
 
 # Blob-placement attempts before giving up on a coverage target.
 _MAX_BLOBS = 10_000
@@ -208,7 +208,7 @@ def generate_dataset(
     try:
         with manifest.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(MANIFEST_HEADER)
+            writer.writerow(MANIFEST_FIELDS)
             writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write manifest {manifest}: {exc}") from exc

@@ -11,7 +11,7 @@ import pytest
 from shadowprune.cli import main
 from shadowprune.imgcore import GrayImage, decode_image, encode_pgm
 from shadowprune.pipeline import read_features_csv
-from shadowprune.svm import load_model
+from shadowprune.svm import TrainConfig, TrainingSet, load_model, save_model, train
 
 
 def bimodal_pgm(path, rate=0.3, edge=60):
@@ -97,9 +97,9 @@ class TestExtract:
         out = tmp_path / "f.csv"
         code = main(["extract", str(dataset / "manifest.csv"), str(out)])
         assert code == 0
-        rows = read_features_csv(out)
-        assert len(rows) == 12
-        assert {r.label for r in rows} == {-1, 1}
+        table = read_features_csv(out)
+        assert len(table) == 12
+        assert set(table.y.tolist()) == {-1, 1}
 
     def test_per_tree_rows(self, dataset, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -107,9 +107,9 @@ class TestExtract:
             ["extract", "--per-tree", str(dataset / "manifest.csv"), str(out)]
         )
         assert code == 0
-        rows = read_features_csv(out)
-        assert len(rows) == 6
-        assert all(r.photo_id == "" for r in rows)
+        table = read_features_csv(out)
+        assert len(table) == 6
+        assert table.photo_ids == ("",) * 6
 
     def test_bad_tree_skipped_with_note(self, tmp_path, capsys):
         good = tmp_path / "good.pgm"
@@ -161,7 +161,8 @@ class TestTrainPredict:
         assert code == 0
         lines = pred_path.read_text().strip().splitlines()
         assert lines[0] == "tree_id,photo_id,prediction,decision_value"
-        truth = {r.tree_id: r.label for r in read_features_csv(tree_csv)}
+        table = read_features_csv(tree_csv)
+        truth = dict(zip(table.tree_ids, table.y.tolist()))
         hits = 0
         for line in lines[1:]:
             tree_id, _, label, value = line.split(",")
@@ -207,6 +208,39 @@ class TestTrainPredict:
         assert "zero training span for feature(s): black_pixel_rate" in captured.err
         assert "inf" not in captured.out and "nan" not in captured.out
 
+    def test_non_finite_bias_in_model_is_data_error(self, tree_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.model"
+        assert main(["train", str(tree_csv), str(model_path)]) == 0
+        text = model_path.read_text()
+        bias = next(ln for ln in text.splitlines() if ln.startswith("b "))
+        model_path.write_text(text.replace(bias, "b nan"))
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(tree_csv)]) == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err and captured.out == ""
+
+    def test_model_feature_count_mismatch_is_data_error(self, tree_csv, tmp_path, capsys):
+        data = TrainingSet(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), [-1.0, 1.0])
+        model_path = tmp_path / "m3.model"
+        save_model(train(data, TrainConfig(C=10.0)), model_path)
+        assert main(["predict", str(model_path), str(tree_csv)]) == 2
+        assert "model expects (n, 3)" in capsys.readouterr().err
+
+    def test_non_utf8_model_is_data_error(self, tree_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.model"
+        model_path.write_bytes(b"shadowprune-model v1\nkernel \xff\nend\n")
+        assert main(["predict", str(model_path), str(tree_csv)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_features_is_data_error(self, tree_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.model"
+        assert main(["train", str(tree_csv), str(model_path)]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(tree_csv.read_bytes().replace(b"t000", b"t\xff00", 1))
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(bad)]) == 2
+        assert "unreadable features CSV" in capsys.readouterr().err
+
     def test_rbf_train(self, tree_csv, tmp_path, capsys):
         model_path = tmp_path / "r.model"
         assert main(["train", "--kernel", "rbf", str(tree_csv), str(model_path)]) == 0
@@ -245,6 +279,14 @@ class TestEvaluate:
         )
         assert code == 2
         assert "cannot write report" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_is_data_error(self, dataset, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(
+            (dataset / "manifest.csv").read_bytes().replace(b"t000", b"t\xff00", 1)
+        )
+        assert main(["evaluate", str(manifest)]) == 2
+        assert "unreadable manifest" in capsys.readouterr().err
 
     def test_single_kernel_no_winner_line(self, dataset, capsys):
         code = main(
@@ -298,3 +340,14 @@ class TestPlot:
         assert main(["train", str(features), str(model_path)]) == 0
         assert main(["plot", str(features), str(model_path), str(svg_path)]) == 0
         assert svg_path.read_text().startswith("<?xml")
+
+    def test_non_utf8_model_is_data_error(self, dataset, tmp_path, capsys):
+        features = tmp_path / "t.csv"
+        model_path = tmp_path / "m.model"
+        assert main(
+            ["extract", "--per-tree", str(dataset / "manifest.csv"), str(features)]
+        ) == 0
+        model_path.write_bytes(b"shadowprune-model v1\n\xfe\xff\nend\n")
+        code = main(["plot", str(features), str(model_path), str(tmp_path / "p.svg")])
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err

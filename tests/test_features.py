@@ -15,15 +15,13 @@ from shadowprune.errors import (
     InsufficientData,
 )
 from shadowprune.features import (
-    FeatureVector,
     GridConfig,
     Normalizer,
-    apply_normalizer,
     black_pixel_rate,
+    extract_features,
     fit_normalizer,
     grid_white_counts,
     uniformity,
-    white_pixel_rate,
 )
 from shadowprune.imgcore import BinaryImage
 
@@ -53,13 +51,6 @@ class TestBlackPixelRate:
     def test_empty_image(self):
         with pytest.raises(EmptyImage):
             black_pixel_rate(BinaryImage(np.zeros((0, 3), dtype=np.uint8)))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_complement_with_white_rate(self, seed):
-        rng = np.random.default_rng(seed)
-        img = binary((rng.random((6, 7)) < 0.4) * 255)
-        assert black_pixel_rate(img) + white_pixel_rate(img) == 1.0
 
 
 class TestGridCounts:
@@ -125,55 +116,47 @@ class TestUniformity:
         )
 
 
-class TestFeatureVector:
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            FeatureVector(1.5, 0.0)
-        with pytest.raises(ValueError):
-            FeatureVector(0.5, -1.0)
-        with pytest.raises(ValueError):
-            FeatureVector(float("nan"), 0.0)
-
-    def test_array_order(self):
-        v = FeatureVector(0.25, 42.0)
-        assert v.as_array().tolist() == [0.25, 42.0]
+class TestExtractFeatures:
+    def test_row_order(self):
+        px = np.full((4, 4), 255)
+        px[:1] = 0
+        row = extract_features(binary(px), GridConfig(2))
+        assert row.dtype == np.float64
+        assert row.tolist() == [0.25, uniformity([2, 2, 4, 4])]
 
 
 class TestNormalizer:
     def test_fit_min_max(self):
-        nz = fit_normalizer([FeatureVector(0.2, 10), FeatureVector(0.8, 30)])
+        nz = fit_normalizer([[0.2, 10], [0.8, 30]])
         assert nz.mins == (0.2, 10.0)
         assert nz.maxs == (0.8, 30.0)
         assert nz.constant_features == ()
 
     def test_single_row_insufficient(self):
         with pytest.raises(InsufficientData):
-            fit_normalizer([FeatureVector(0.2, 10)])
+            fit_normalizer([[0.2, 10]])
 
     def test_constant_column_flagged(self):
-        nz = fit_normalizer([FeatureVector(0.2, 10), FeatureVector(0.8, 10)])
+        nz = fit_normalizer([[0.2, 10], [0.8, 10]])
         assert nz.constant_features == (1,)
 
     def test_apply_on_constant_column_raises(self):
-        nz = fit_normalizer([FeatureVector(0.2, 10), FeatureVector(0.8, 10)])
+        nz = fit_normalizer([[0.2, 10], [0.8, 10]])
         with pytest.raises(ConstantFeature):
-            apply_normalizer(nz, FeatureVector(0.5, 10))
+            nz.transform(np.array([[0.5, 10.0]]))
 
     def test_extremes_and_midpoint(self):
-        nz = fit_normalizer([FeatureVector(0.2, 10), FeatureVector(0.8, 30)])
-        lo = apply_normalizer(nz, FeatureVector(0.2, 10))
-        hi = apply_normalizer(nz, FeatureVector(0.8, 30))
-        mid = apply_normalizer(nz, FeatureVector(0.5, 20))
-        assert (lo.black_pixel_rate, lo.uniformity) == (0.0, 0.0)
-        assert (hi.black_pixel_rate, hi.uniformity) == (1.0, 1.0)
-        assert mid.black_pixel_rate == pytest.approx(0.5, abs=1e-12)
-        assert mid.uniformity == pytest.approx(0.5, abs=1e-12)
+        nz = fit_normalizer([[0.2, 10], [0.8, 30]])
+        lo, hi, mid = nz.transform(np.array([[0.2, 10], [0.8, 30], [0.5, 20]]))
+        assert lo.tolist() == [0.0, 0.0]
+        assert hi.tolist() == [1.0, 1.0]
+        assert mid.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_out_of_range_not_clamped(self):
-        nz = fit_normalizer([FeatureVector(0.2, 10), FeatureVector(0.8, 30)])
-        out = apply_normalizer(nz, FeatureVector(0.9, 5))
-        assert out.black_pixel_rate > 1.0
-        assert out.uniformity < 0.0
+        nz = fit_normalizer([[0.2, 10], [0.8, 30]])
+        out = nz.transform(np.array([0.9, 5.0]))
+        assert out[0] > 1.0
+        assert out[1] < 0.0
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -183,17 +166,11 @@ class TestNormalizer:
     @settings(max_examples=30, deadline=None)
     def test_refit_on_normalized_rows_is_unit(self, seed):
         rng = np.random.default_rng(seed)
-        rows = [
-            FeatureVector(float(r), float(u))
-            for r, u in zip(rng.random(8), rng.random(8) * 100)
-        ]
+        rows = np.column_stack([rng.random(8), rng.random(8) * 100])
         nz = fit_normalizer(rows)
         if nz.constant_features:
             return
-        scaled = [apply_normalizer(nz, v) for v in rows]
-        refit = fit_normalizer(
-            [FeatureVector(s.black_pixel_rate, s.uniformity) for s in scaled]
-        )
+        refit = fit_normalizer(nz.transform(rows))
         assert refit.mins == (0.0, 0.0)
         assert refit.maxs == (1.0, 1.0)
 
@@ -201,15 +178,12 @@ class TestNormalizer:
     @settings(max_examples=30, deadline=None)
     def test_rank_preserved(self, seed):
         rng = np.random.default_rng(seed)
-        rows = [
-            FeatureVector(float(r), float(u))
-            for r, u in zip(rng.random(10), rng.random(10) * 50)
-        ]
+        rows = np.column_stack([rng.random(10), rng.random(10) * 50])
         nz = fit_normalizer(rows)
         if nz.constant_features:
             return
-        scaled = [apply_normalizer(nz, v) for v in rows]
+        scaled = nz.transform(rows)
         for idx in range(2):
-            raw_order = np.argsort([v.as_array()[idx] for v in rows], kind="stable")
-            new_order = np.argsort([s.as_array()[idx] for s in scaled], kind="stable")
+            raw_order = np.argsort(rows[:, idx], kind="stable")
+            new_order = np.argsort(scaled[:, idx], kind="stable")
             assert raw_order.tolist() == new_order.tolist()

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shadowprune.errors import (
     DegenerateHistogram,
@@ -15,11 +17,13 @@ from shadowprune.errors import (
     LabelConflict,
     MalformedFile,
     MissingImage,
+    ShadowPruneError,
 )
-from shadowprune.features import FeatureVector, GridConfig
+from shadowprune.features import GridConfig
 from shadowprune.imgcore import GrayImage, encode_pgm
 from shadowprune.pipeline import (
-    FeatureRow,
+    FEATURES_FIELDS,
+    FeatureTable,
     SamplePoint,
     SplitSpec,
     TreeRecord,
@@ -61,12 +65,18 @@ def put_image(tmp_path: Path, name: str, rate: float = 0.3) -> str:
 
 
 def feat_record(tree_id: str, label: int, rate: float, unif: float) -> TreeRecord:
-    fv = FeatureVector(rate, unif)
+    fv = np.array([rate, unif])
     pt = SamplePoint(tree_id, "p00", Path("unused.pgm"), features=fv)
     return TreeRecord(tree_id, label, (pt,), features=fv)
 
 
 class TestIngest:
+    def test_non_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"tree_id,photo_id,image_path,label\nt\xff,p1,a.pgm,1\n")
+        with pytest.raises(MalformedFile):
+            ingest(path)
+
     def test_groups_and_labels(self, tmp_path):
         a = put_image(tmp_path, "a.pgm")
         b = put_image(tmp_path, "b.pgm")
@@ -148,7 +158,7 @@ class TestExtraction:
         name = put_image(tmp_path, "x.pgm", rate=0.25)
         pt = SamplePoint("t1", "p1", tmp_path / name)
         fv = extract_point_features(pt, NO_POOL, GridConfig(10))
-        assert fv.black_pixel_rate == 0.25
+        assert fv[0] == 0.25
 
     def test_tree_mean_of_two_points(self, tmp_path):
         a = put_image(tmp_path, "a.pgm", rate=0.2)
@@ -162,8 +172,9 @@ class TestExtraction:
             ),
         )
         done = extract_tree_features(rec, NO_POOL, GridConfig(10))
-        assert done.features.black_pixel_rate == pytest.approx(0.5, abs=1e-12)
-        assert done.features == done.mean_features()
+        assert done.features[0] == pytest.approx(0.5, abs=1e-12)
+        mean = np.mean([p.features for p in done.points], axis=0)
+        assert done.features.tolist() == mean.tolist()
 
     def test_identical_points_mean_is_point(self, tmp_path):
         a = put_image(tmp_path, "a.pgm", rate=0.4)
@@ -172,10 +183,8 @@ class TestExtraction:
         )
         done = extract_tree_features(TreeRecord("t1", 1, pts), NO_POOL, GridConfig(10))
         first = done.points[0].features
-        assert done.features.black_pixel_rate == pytest.approx(
-            first.black_pixel_rate, rel=1e-12
-        )
-        assert done.features.uniformity == pytest.approx(first.uniformity, rel=1e-12)
+        assert done.features[0] == pytest.approx(first[0], rel=1e-12)
+        assert done.features[1] == pytest.approx(first[1], rel=1e-12)
 
     def test_degenerate_image_names_photo(self, tmp_path):
         flat = GrayImage(np.full((20, 20), 128, dtype=np.uint8))
@@ -329,15 +338,65 @@ class TestRunExperiment:
         assert model.normalizer is not None
 
 
+HEADER = ",".join(FEATURES_FIELDS) + "\n"
+
+
 class TestFeaturesCsv:
     def test_round_trip_exact(self, tmp_path):
-        rows = [
-            FeatureRow("t1", "p1", FeatureVector(0.1, 1.0 / 3.0), 1),
-            FeatureRow("t2", "", FeatureVector(0.7777777777777777, 123.456), -1),
-        ]
+        table = FeatureTable(("t1", "t2"), ("p1", ""),
+                             np.array([[0.1, 1.0 / 3.0], [0.7777777777777777, 123.456]]),
+                             [1, -1])
         path = tmp_path / "f.csv"
-        write_features_csv(path, rows)
-        assert read_features_csv(path) == rows
+        write_features_csv(path, table)
+        back = read_features_csv(path)
+        assert (back.tree_ids, back.photo_ids) == (table.tree_ids, table.photo_ids)
+        assert back.x.tolist() == table.x.tolist()
+        assert back.y.tolist() == [1, -1]
+
+    def test_floats_written_as_python_repr(self, tmp_path):
+        table = FeatureTable(("t1",), ("p1",), np.array([[0.1, 2.0]]), [1])
+        path = tmp_path / "f.csv"
+        write_features_csv(path, table)
+        assert path.read_text().splitlines()[1] == "t1,p1,0.1,2.0,1"
+
+    def test_range_validation(self, tmp_path):
+        path = tmp_path / "f.csv"
+        bad = [("1.5", "0.0"), ("-0.1", "0.0"), ("0.5", "-1.0"),
+               ("nan", "0.0"), ("0.5", "inf"), ("0.5", "x")]
+        for rate, unif in bad:
+            path.write_text(HEADER + "t1,p1,0.1,2.0,1\n" + f"t2,p1,{rate},{unif},1\n")
+            with pytest.raises(MalformedFile, match="line 3"):
+                read_features_csv(path)
+
+    def test_non_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(HEADER.encode() + b"t\xff,p1,0.1,2.0,1\n")
+        with pytest.raises(MalformedFile):
+            read_features_csv(path)
+
+    def test_from_records_per_photo_and_per_tree(self):
+        recs = [feat_record("a", 1, 0.2, 3.0), feat_record("b", -1, 0.6, 5.0)]
+        photos = FeatureTable.from_records(recs)
+        assert photos.photo_ids == ("p00", "p00")
+        assert photos.x.tolist() == [[0.2, 3.0], [0.6, 5.0]]
+        trees = FeatureTable.from_records(recs, per_tree=True)
+        assert trees.tree_ids == ("a", "b") and trees.photo_ids == ("", "")
+        assert trees.y.tolist() == [1, -1]
+
+    @given(st.binary(max_size=300) | st.lists(
+        st.lists(st.sampled_from(["t1", "", "0.5", "1e400", "nan", "-0.0", "2",
+                                  "+1", "-1", "0", '"', "\r", "\x00"])
+                 | st.text(max_size=6), max_size=6).map(",".join),
+        max_size=5).map(lambda rows: "\n".join(rows).encode("utf-8", "surrogatepass")))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzz_only_library_errors_escape(self, tmp_path, body):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(HEADER.encode() + body)
+        try:
+            read_features_csv(path)
+        except ShadowPruneError:
+            pass
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "f.csv"

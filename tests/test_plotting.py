@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from shadowprune.errors import DimensionMismatch, IoError
-from shadowprune.features import FeatureVector, Normalizer
-from shadowprune.pipeline import FeatureRow
+from shadowprune.features import Normalizer
+from shadowprune.pipeline import FeatureTable
 from shadowprune.plotting import PlotSpec, render_svg, write_svg
 from shadowprune.svm import TrainConfig, TrainingSet, decision_value, train
 
@@ -28,11 +28,15 @@ def toy_model():
     return train(data, TrainConfig(kernel="linear", C=1e6, tolerance=1e-6))
 
 
+def table(x, y) -> FeatureTable:
+    """Rows (rate, unif) with labels, one photo per tree."""
+    n = len(y)
+    return FeatureTable(tuple(f"t{i + 1}" for i in range(n)), ("p1",) * n,
+                        np.array(x, dtype=np.float64).reshape(n, 2), y)
+
+
 def toy_rows():
-    return [
-        FeatureRow("t1", "p1", FeatureVector(0.0, 0.0), -1),
-        FeatureRow("t2", "p1", FeatureVector(1.0, 1.0), 1),
-    ]
+    return table([[0.0, 0.0], [1.0, 1.0]], [-1, 1])
 
 
 def parse_transform(svg: str):
@@ -109,11 +113,7 @@ class TestLinearPlot:
         model = train(data, TrainConfig(kernel="linear", C=100.0)).with_context(
             normalizer=nz
         )
-        rows = [
-            FeatureRow(f"t{i}", "p1", FeatureVector(r[0], r[1]), int(y))
-            for i, (r, y) in enumerate(zip(raw, [1, 1, -1, -1]))
-        ]
-        svg = render_svg(rows, model)
+        svg = render_svg(table(raw, [1, 1, -1, -1]), model)
         for unif, rate in line_endpoints_data(svg, "boundary"):
             f = decision_value(model, np.array([rate, unif]))
             assert f == pytest.approx(0.0, abs=1e-6)
@@ -126,7 +126,7 @@ class TestLinearPlot:
         assert len(points) == 2
 
     def test_point_count_and_colors(self):
-        rows = toy_rows() + [FeatureRow("t3", "p1", FeatureVector(0.0, 1.0), -1)]
+        rows = table([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [-1, 1, -1])
         svg = render_svg(rows, toy_model())
         points = [el for el in elements(svg, "circle") if el.get("class") == "pt"]
         assert len(points) == 3
@@ -134,11 +134,7 @@ class TestLinearPlot:
         assert len(fills) == 2
 
     def test_line_outside_range_noted(self):
-        rows = [
-            FeatureRow("t1", "p1", FeatureVector(0.2, 0.2), -1),
-            FeatureRow("t2", "p1", FeatureVector(0.3, 0.3), 1),
-        ]
-        svg = render_svg(rows, toy_model())
+        svg = render_svg(table([[0.2, 0.2], [0.3, 0.3]], [-1, 1]), toy_model())
         assert "boundary: outside the plotted range" in svg
         assert not any(el.get("id") == "boundary" for el in elements(svg, "line"))
 
@@ -156,11 +152,7 @@ class TestRbfPlot:
             np.array([1.0, 1.0, -1.0, -1.0]),
         )
         model = train(data, TrainConfig(kernel="rbf", C=10.0))
-        rows = [
-            FeatureRow(f"t{i}", "p1", FeatureVector(x[0], x[1]), int(y))
-            for i, (x, y) in enumerate(zip(data.x, data.y))
-        ]
-        svg = render_svg(rows, model)
+        svg = render_svg(table(data.x, data.y), model)
         assert elements(svg, "line") == []
         assert "no boundary line: rbf kernel has no linear separator" in svg
         assert len(elements(svg, "circle")) >= 4
@@ -169,7 +161,7 @@ class TestRbfPlot:
 class TestValidation:
     def test_empty_rows(self):
         with pytest.raises(DimensionMismatch):
-            render_svg([], toy_model())
+            render_svg(table([], []), toy_model())
 
     def test_wrong_dimension_model(self):
         data = TrainingSet(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +11,20 @@ from hypothesis import strategies as st
 
 from shadowprune.errors import (
     CorruptModel,
+    DimensionMismatch,
     IoError,
     NonConvergence,
     SchemaVersionMismatch,
+    ShadowPruneError,
     SingleClassData,
 )
+from shadowprune.features import Normalizer
 from shadowprune.svm import (
     SvmModel,
     TrainConfig,
     TrainingSet,
     decision_value,
+    decision_values,
     deserialize_model,
     load_model,
     margin,
@@ -263,6 +269,8 @@ class TestConfigValidation:
     def test_bad_c(self):
         with pytest.raises(ValueError):
             TrainConfig(C=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(C=float("inf"))
 
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
@@ -317,3 +325,102 @@ class TestPersistence:
         m = train(two_point_set(), HARD)
         with pytest.raises(IoError):
             save_model(m, tmp_path / "no" / "dir" / "x.model")
+
+    def test_header_sized_support_block_is_not_allocated(self):
+        text = serialize_model(train(two_point_set(), HARD))
+        lines = [ln for ln in text.splitlines() if not ln.startswith("sv ")]
+        at = lines.index("end")
+        lines[at:at] = ["sv 0.1 0.2 0.3"]
+        lines = [ln.replace("n_support 2", "n_support 1")
+                 .replace("n_features 2", "n_features 10000000") for ln in lines]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptModel):
+                deserialize_model("\n".join(lines) + "\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n_features", ["0", "-1"])
+    def test_non_positive_feature_count(self, n_features):
+        text = serialize_model(train(two_point_set(), HARD))
+        lines = [ln.replace("n_support 2", "n_support 0")
+                 .replace("n_features 2", f"n_features {n_features}")
+                 for ln in text.splitlines() if not ln.startswith("sv ")]
+        with pytest.raises(CorruptModel):
+            deserialize_model("\n".join(lines) + "\n")
+
+    @given(st.text(max_size=400) | st.lists(
+        st.sampled_from(["shadowprune-model v1", "kernel linear", "kernel rbf", "C 1.0",
+                         "C -5", "tolerance 0.0001", "rng_seed 0", "n_train_rows 2",
+                         "b 0.5", "b nan", "w 1.0 2.0", "w inf 1", "gamma 0.5",
+                         "gamma inf", "support_vector_indices 0 1", "n_support 1",
+                         "n_support 0", "n_features 2", "n_features 0", "n_features -1",
+                         "sv 0.1 0.2 0.3", "sv 1 2", "normalizer_mins 0 0",
+                         "normalizer_maxs 1 1", "normalizer_maxs 0 0", "pool_factor x",
+                         "grid_edge 3", "end"]) | st.text(max_size=20),
+        max_size=20).map("\n".join))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_library_errors_escape(self, text):
+        try:
+            deserialize_model(text)
+        except ShadowPruneError:
+            pass
+
+
+def edit_field(text: str, key: str, index: int, value: str) -> str:
+    """Replace token `index` (after the key) of the first line starting with key."""
+    lines = text.split("\n")
+    at = next(i for i, ln in enumerate(lines) if ln.split(" ", 1)[0] == key)
+    values = lines[at].split()[1:]
+    values[index] = value
+    lines[at] = " ".join([key] + values)
+    return "\n".join(lines)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("kernel,key,index,value", [
+        ("linear", "b", 0, "nan"),
+        ("linear", "b", 0, "inf"),
+        ("linear", "w", 1, "nan"),
+        ("linear", "sv", 0, "inf"),
+        ("rbf", "sv", 1, "nan"),
+        ("rbf", "sv", -1, "-inf"),
+        ("linear", "C", 0, "-5"),
+        ("linear", "C", 0, "inf"),
+        ("rbf", "C", 0, "0.0"),
+        ("linear", "tolerance", 0, "0.0"),
+        ("rbf", "tolerance", 0, "nan"),
+        ("rbf", "gamma", 0, "inf"),
+        ("rbf", "gamma", 0, "-1.0"),
+        ("rbf", "gamma", 0, "nan"),
+    ])
+    def test_bad_field_is_corrupt(self, kernel, key, index, value):
+        model = train(four_point_set(), TrainConfig(kernel=kernel, C=10.0))
+        text = serialize_model(model)
+        deserialize_model(text)
+        with pytest.raises(CorruptModel):
+            deserialize_model(edit_field(text, key, index, value))
+
+
+class TestDecisionValues:
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_batch_equals_rows_bitwise(self, kernel):
+        data = separable_set(77, n_cap=30)
+        nz = Normalizer(mins=(-1.0, -2.0), maxs=(1.5, 3.0))
+        model = train(data, TrainConfig(kernel=kernel, C=4.0)).with_context(normalizer=nz)
+        rng = np.random.default_rng(1)
+        queries = rng.uniform(-2.0, 3.0, size=(40, 2))
+        batch = decision_values(model, queries)
+        assert batch.shape == (40,)
+        assert batch.tolist() == [decision_value(model, q) for q in queries]
+        labels = [1 if v >= 0 else -1 for v in batch]
+        assert [predict(model, q) for q in queries] == labels
+
+    def test_wrong_width_rejected(self):
+        model = train(two_point_set(), HARD)
+        with pytest.raises(DimensionMismatch):
+            decision_values(model, np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatch):
+            decision_value(model, [0.5, 0.5, 0.5])

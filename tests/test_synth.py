@@ -166,10 +166,8 @@ class TestRegimeSeparation:
         records = extract_dataset(ingest(manifest))
         rates = {1: [], -1: []}
         for rec in records:
-            rates[rec.label].append(rec.features.black_pixel_rate)
+            rates[rec.label].append(rec.features[0])
         assert max(rates[1]) < min(rates[-1])
-        x = np.array(
-            [[r.features.black_pixel_rate, r.features.uniformity] for r in records]
-        )
+        x = np.array([r.features for r in records])
         y = np.array([float(r.label) for r in records])
         assert hard_margin_oracle(x, y) is not None
