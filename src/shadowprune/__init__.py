@@ -74,7 +74,6 @@ from .svm import (
     load_model,
     predict,
     save_model,
-    support_vectors,
     train,
 )
 from .synth import SynthConfig, generate, generate_dataset

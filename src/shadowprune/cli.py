@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
         "threshold, extract features, train and evaluate SVMs.",
     )
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for every randomized step (default 0)")
+                        help="seed of the evaluate split and of synth (default 0)")
     parser.add_argument("--verbose", "-v", action="store_true",
                         help="extra progress output on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-4,
                    help="solver stopping tolerance (default 1e-4)")
     p.add_argument("--max-iter", type=int, default=None,
-                   help="solver examination budget (default 10*n*1000)")
+                   help="solver step budget (default 10*n*1000)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="model + features CSV -> labels")
@@ -195,7 +195,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         tolerance=args.tol,
         max_iterations=args.max_iter,
-        rng_seed=args.seed,
     )
     tset = TrainingSet(nz.transform(table.x), table.y)
     model = train(tset, cfg).with_context(normalizer=nz)
@@ -232,8 +231,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     kernels = KERNELS if args.kernel == "both" else (args.kernel,)
     configs = [
-        TrainConfig(kernel=k, C=args.c, tolerance=args.tol, rng_seed=args.seed)
-        for k in kernels
+        TrainConfig(kernel=k, C=args.c, tolerance=args.tol) for k in kernels
     ]
     result = run_experiment(
         records,

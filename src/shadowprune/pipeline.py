@@ -353,7 +353,6 @@ class ExperimentResult:
 
     report: EvalReport
     models: tuple[SvmModel | None, ...]
-    train_records: tuple[TreeRecord, ...]
     test_records: tuple[TreeRecord, ...]
     predictions: tuple[tuple[int, ...] | None, ...]
 
@@ -438,7 +437,6 @@ def run_experiment(
     return ExperimentResult(
         report=report,
         models=tuple(models),
-        train_records=tuple(train_recs),
         test_records=tuple(test_recs),
         predictions=tuple(predictions),
     )

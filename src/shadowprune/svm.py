@@ -3,10 +3,11 @@
 The decision surface follows the w·x − b = 0 convention, so the decision
 function is f(x) = w·x − b for the linear kernel and
 f(x) = sum_i alpha_i y_i K(x_i, x) − b for the RBF kernel.  Training
-solves the dual with two-coefficient analytic updates (Platt's SMO with
-an error cache and the |E1 − E2| second-choice heuristic); any
-randomized sweep order comes from a seeded generator, so training is
-deterministic for a fixed (data, config, seed) triple.
+solves the dual by sequential minimal optimization: each step makes the
+exact, clipped two-coefficient update on the pair that LIBSVM's
+second-order working-set selection picks (Fan, Chen & Lin, JMLR 2005),
+and training stops once the KKT gap is within the tolerance.  It draws
+no random numbers, so it is deterministic for fixed data and config.
 """
 
 from __future__ import annotations
@@ -40,8 +41,12 @@ DEFAULT_TOLERANCE = 1e-4
 # enough that zeroing them moves sum(alpha*y) by well under 1e-6.
 _ALPHA_FLOOR = 1e-12
 
-# Relative progress floor for accepting a two-coefficient step.
-_STEP_EPS = 1e-12
+# Curvature used for a pair whose kernel curvature is not positive.
+_TAU = 1e-12
+
+# Coefficients within this fraction of C from 0 or C are put on the bound,
+# so that a rounding error does not leave a row counted as free.
+_BOUND_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,6 @@ class TrainConfig:
     gamma: float | None = None
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int | None = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
@@ -127,7 +131,6 @@ class SvmModel:
     dual_coef: np.ndarray
     support_vector_indices: tuple[int, ...]
     tolerance: float
-    rng_seed: int
     n_train_rows: int
     normalizer: Normalizer | None = None
     pool_factor: int | None = None
@@ -184,7 +187,10 @@ def decision_values(model: SvmModel, x) -> np.ndarray:
         raise DimensionMismatch(f"query rows have shape {z.shape}, model expects (n, {d})")
     if model.normalizer is not None:
         z = model.normalizer.transform(z)
-    return np.array([_decide(model, row) for row in z], dtype=np.float64)
+    # A huge feature value overflows the RBF square to inf; exp(-inf) = 0
+    # is then the right kernel value, so that overflow is not reported.
+    with np.errstate(over="ignore" if model.kernel == KERNEL_RBF else None):
+        return np.array([_decide(model, row) for row in z], dtype=np.float64)
 
 
 def decision_value(model: SvmModel, x) -> float:
@@ -203,19 +209,6 @@ def decision_label(value: float) -> int:
 def predict(model: SvmModel, x) -> int:
     """Class label of x, `decision_label` of its decision value."""
     return decision_label(decision_value(model, x))
-
-
-def support_vectors(model: SvmModel, data: TrainingSet) -> tuple[int, ...]:
-    """Indices of rows on or inside the margin: y·f(x) <= 1 + tolerance.
-
-    `data` is taken to be in model space already, e.g. the set the model
-    was trained on; no normalizer is applied here.
-    """
-    out = []
-    for i in range(data.n):
-        if data.y[i] * _decide(model, data.x[i]) <= 1.0 + model.tolerance:
-            out.append(i)
-    return tuple(out)
 
 
 def _kernel_matrix(x: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
@@ -237,123 +230,89 @@ def _resolve_gamma(cfg: TrainConfig, x: np.ndarray) -> float | None:
 
 
 class _Smo:
-    """One training run; holds the mutable solver state."""
+    """One training run; holds the mutable solver state.
+
+    `v` holds y_t − g_t for every row, g_t = sum_s alpha_s y_s K(x_s, x_t)
+    being the decision value without the bias.  The KKT conditions hold
+    for a bias b when −b >= v_t on the rows whose y_t·alpha_t can still
+    grow (`_up`) and −b <= v_t on the rows whose y_t·alpha_t can still
+    shrink (`_low`), so max v over the first set minus min v over the
+    second is the KKT gap that training drives to within the tolerance.
+    """
 
     def __init__(self, data: TrainingSet, cfg: TrainConfig, gamma: float | None):
-        self.x = data.x
         self.y = data.y
-        self.n = data.n
         self.C = cfg.C
         self.tol = cfg.tolerance
         self.K = _kernel_matrix(data.x, cfg.kernel, gamma)
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        self.errors = -self.y.copy()  # f = 0 everywhere at the start
-        self.rng = np.random.default_rng(cfg.rng_seed)
+        self.K_diag = np.diagonal(self.K).copy()
+        self.alpha = np.zeros(data.n)
+        self.v = self.y.copy()  # g = 0 everywhere at the start
+        self.kkt_gap = math.inf
         self.steps = 0
 
-    def refresh_errors(self) -> None:
-        """Recompute the cache from scratch, clearing incremental drift."""
-        f = (self.alpha * self.y) @ self.K - self.b
-        self.errors = f - self.y
+    def _up(self) -> np.ndarray:
+        return np.where(self.y > 0.0, self.alpha < self.C, self.alpha > 0.0)
 
-    def _objective_at(self, i1: int, i2: int, a1: float, a2: float) -> float:
-        """Dual objective restricted to the pair, for the eta <= 0 branch."""
-        y1, y2 = self.y[i1], self.y[i2]
-        s = y1 * y2
-        K11, K22, K12 = self.K[i1, i1], self.K[i2, i2], self.K[i1, i2]
-        f1 = y1 * (self.errors[i1] + self.y[i1]) - self.alpha[i1] * K11 \
-            - s * self.alpha[i2] * K12
-        f2 = y2 * (self.errors[i2] + self.y[i2]) - s * self.alpha[i1] * K12 \
-            - self.alpha[i2] * K22
-        return (
-            a1 * f1
-            + a2 * f2
-            + 0.5 * a1 * a1 * K11
-            + 0.5 * a2 * a2 * K22
-            + s * a1 * a2 * K12
-        )
+    def _low(self) -> np.ndarray:
+        return np.where(self.y > 0.0, self.alpha > 0.0, self.alpha < self.C)
 
-    def take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        a1_old, a2_old = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        E1, E2 = self.errors[i1], self.errors[i2]
-        s = y1 * y2
-        if s < 0:
-            L = max(0.0, a2_old - a1_old)
-            H = min(self.C, self.C + a2_old - a1_old)
-        else:
-            L = max(0.0, a1_old + a2_old - self.C)
-            H = min(self.C, a1_old + a2_old)
-        if L >= H:
-            return False
-        K11, K22, K12 = self.K[i1, i1], self.K[i2, i2], self.K[i1, i2]
-        eta = K11 + K22 - 2.0 * K12
-        if eta > 0.0:
-            a2 = a2_old + y2 * (E1 - E2) / eta
-            a2 = min(max(a2, L), H)
-        else:
-            # Flat direction: the minimum sits at an interval end.
-            l1 = a1_old + s * (a2_old - L)
-            h1 = a1_old + s * (a2_old - H)
-            l_obj = self._objective_at(i1, i2, l1, L)
-            h_obj = self._objective_at(i1, i2, h1, H)
-            if l_obj < h_obj - _STEP_EPS:
-                a2 = L
-            elif l_obj > h_obj + _STEP_EPS:
-                a2 = H
-            else:
-                return False
-        if abs(a2 - a2_old) < _STEP_EPS * (a2 + a2_old + _STEP_EPS):
-            return False
-        a1 = a1_old + s * (a2_old - a2)
-        if a1 < 0.0:
-            a2 += s * a1
-            a1 = 0.0
-        elif a1 > self.C:
-            a2 += s * (a1 - self.C)
-            a1 = self.C
+    def _snap(self, a: float) -> float:
+        if a < _BOUND_EPS * self.C:
+            return 0.0
+        if a > (1.0 - _BOUND_EPS) * self.C:
+            return self.C
+        return a
 
-        d1 = y1 * (a1 - a1_old)
-        d2 = y2 * (a2 - a2_old)
-        b1 = E1 + d1 * K11 + d2 * K12 + self.b
-        b2 = E2 + d1 * K12 + d2 * K22 + self.b
-        if 0.0 < a1 < self.C:
-            b_new = b1
-        elif 0.0 < a2 < self.C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
+    def select_pair(self) -> tuple[int, int, float, float] | None:
+        """(i, j, gap, curvature) of the next step, or None at tolerance.
 
-        self.errors += d1 * self.K[i1] + d2 * self.K[i2] - (b_new - self.b)
-        self.alpha[i1] = a1
-        self.alpha[i2] = a2
-        self.b = b_new
+        i is the row that violates KKT most; j, among the rows that form
+        a violating pair with i, the one whose exact step lowers the dual
+        objective most (LIBSVM's second-order rule).  Along the pair's
+        feasible direction the objective falls at rate gap and curves by
+        K_ii + K_jj − 2K_ij.  Records the KKT gap in `kkt_gap`.
+        """
+        v_up = np.where(self._up(), self.v, -np.inf)
+        i = int(np.argmax(v_up))
+        gap = v_up[i] - np.where(self._low(), self.v, np.inf)
+        self.kkt_gap = float(gap.max())
+        if self.kkt_gap <= self.tol:
+            return None
+        curv = self.K_diag[i] + self.K_diag - 2.0 * self.K[i]
+        curv = np.where(curv > 0.0, curv, _TAU)
+        j = int(np.argmax(np.where(gap > 0.0, gap * gap / curv, -1.0)))
+        return i, j, float(gap[j]), float(curv[j])
+
+    def take_step(self, i: int, j: int, gap: float, curv: float) -> None:
+        """Move y_i·alpha_i up and y_j·alpha_j down by the same t.
+
+        This keeps sum(alpha·y) fixed; t is the exact minimizer gap/curv,
+        cut where either coefficient reaches its bound.
+        """
+        yi, yj = self.y[i], self.y[j]
+        ai, aj = self.alpha[i], self.alpha[j]
+        room_i = self.C - ai if yi > 0.0 else ai
+        room_j = aj if yj > 0.0 else self.C - aj
+        t = min(gap / curv, room_i, room_j)
+        self.alpha[i] = self._snap(ai + yi * t)
+        self.alpha[j] = self._snap(aj - yj * t)
+        self.v -= (yi * (self.alpha[i] - ai)) * self.K[i] \
+            + (yj * (self.alpha[j] - aj)) * self.K[j]
         self.steps += 1
-        return True
 
-    def examine(self, i2: int) -> bool:
-        y2, a2, E2 = self.y[i2], self.alpha[i2], self.errors[i2]
-        r2 = E2 * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)):
-            return False
-        non_bound = np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.C))
-        if non_bound.size > 1:
-            i1 = int(non_bound[np.argmax(np.abs(self.errors[non_bound] - E2))])
-            if self.take_step(i1, i2):
-                return True
-        if non_bound.size:
-            start = int(self.rng.integers(non_bound.size))
-            for k in range(non_bound.size):
-                if self.take_step(int(non_bound[(start + k) % non_bound.size]), i2):
-                    return True
-        start = int(self.rng.integers(self.n))
-        for k in range(self.n):
-            if self.take_step((start + k) % self.n, i2):
-                return True
-        return False
+    def bias(self) -> float:
+        """b from KKT at the current alphas, by LIBSVM's rule.
+
+        The mean of −v over the free rows, or, with none free, the middle
+        of the interval that the rows at a bound leave open.  v is
+        recomputed here, so the incremental updates leave no drift in b.
+        """
+        v = self.y - (self.alpha * self.y) @ self.K
+        free = (self.alpha > 0.0) & (self.alpha < self.C)
+        if free.any():
+            return -float(np.mean(v[free]))
+        return -0.5 * (float(v[self._up()].max()) + float(v[self._low()].min()))
 
 
 def _build_model(
@@ -372,55 +331,37 @@ def _build_model(
         C=cfg.C,
         gamma=gamma,
         w=w,
-        b=smo.b,
+        b=smo.bias(),
         support_x=data.x[sv],
         dual_coef=alpha[sv] * data.y[sv],
         support_vector_indices=tuple(int(i) for i in sv),
         tolerance=cfg.tolerance,
-        rng_seed=cfg.rng_seed,
         n_train_rows=data.n,
     )
 
 
 def train(data: TrainingSet, cfg: TrainConfig = TrainConfig()) -> SvmModel:
-    """Fit the soft-margin dual to tolerance.
+    """Fit the soft-margin dual until its KKT gap is within tolerance.
 
     Rows are expected in model space already (the pipeline normalizes
-    before calling).  Raises SingleClassData when only one label is
-    present and NonConvergence, carrying the best iterate, when the
-    iteration budget runs out first.
+    before calling).  cfg.max_iterations caps the number of steps
+    (default 10 * n * 1000).  Raises SingleClassData when only one label
+    is present and NonConvergence, carrying the last iterate, when the
+    step budget runs out first.
     """
     if not data.has_both_labels:
         raise SingleClassData("training requires at least one row of each class")
     gamma = _resolve_gamma(cfg, data.x)
     budget = cfg.max_iterations if cfg.max_iterations is not None else 10 * data.n * 1000
     smo = _Smo(data, cfg, gamma)
-
-    examined = 0
-    num_changed = 0
-    examine_all = True
-    while num_changed > 0 or examine_all:
-        num_changed = 0
-        if examine_all:
-            smo.refresh_errors()
-            targets = list(range(smo.n))
-        else:
-            targets = [int(i) for i in
-                       np.flatnonzero((smo.alpha > 0.0) & (smo.alpha < smo.C))]
-        for i in targets:
-            if examined >= budget:
-                raise NonConvergence(
-                    f"SMO used its budget of {budget} examinations before "
-                    f"meeting tolerance {cfg.tolerance}",
-                    partial_model=_build_model(smo, data, cfg, gamma),
-                )
-            examined += 1
-            if smo.examine(i):
-                num_changed += 1
-        if examine_all:
-            examine_all = False
-        elif num_changed == 0:
-            examine_all = True
+    while (pair := smo.select_pair()) is not None:
+        if smo.steps >= budget:
+            raise NonConvergence(
+                f"SMO used its budget of {budget} steps with KKT gap "
+                f"{smo.kkt_gap:.3g} above tolerance {cfg.tolerance}",
+                partial_model=_build_model(smo, data, cfg, gamma),
+            )
+        smo.take_step(*pair)
     return _build_model(smo, data, cfg, gamma)
 
 
@@ -453,7 +394,6 @@ def serialize_model(model: SvmModel) -> str:
     lines.append(f"kernel {model.kernel}")
     lines.append(f"C {_fmt(model.C)}")
     lines.append(f"tolerance {_fmt(model.tolerance)}")
-    lines.append(f"rng_seed {model.rng_seed}")
     lines.append(f"n_train_rows {model.n_train_rows}")
     lines.append(f"b {_fmt(model.b)}")
     if model.kernel == KERNEL_LINEAR:
@@ -552,7 +492,6 @@ def deserialize_model(text: str) -> SvmModel:
             dual_coef=coefs,
             support_vector_indices=sv_idx,
             tolerance=float(fields["tolerance"]),
-            rng_seed=int(fields["rng_seed"]),
             n_train_rows=int(fields["n_train_rows"]),
             normalizer=normalizer,
             pool_factor=int(fields["pool_factor"]) if "pool_factor" in fields else None,

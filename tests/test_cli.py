@@ -247,6 +247,33 @@ class TestTrainPredict:
         model = load_model(model_path)
         assert model.kernel == "rbf" and model.gamma is not None
 
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_seed_does_not_change_the_model(self, tree_csv, tmp_path, capsys, kernel):
+        paths = {seed: tmp_path / f"seed{seed}.model" for seed in (1, 2)}
+        for seed, path in paths.items():
+            code = main(["--seed", str(seed), "train", "--kernel", kernel,
+                         str(tree_csv), str(path)])
+            assert code == 0
+        assert paths[1].read_bytes() == paths[2].read_bytes()
+
+    def test_rbf_predict_on_huge_feature_is_quiet(self, tree_csv, tmp_path):
+        model_path = tmp_path / "r.model"
+        assert main(["train", "--kernel", "rbf", str(tree_csv), str(model_path)]) == 0
+        huge = tmp_path / "huge.csv"
+        header, row = tree_csv.read_text().splitlines()[:2]
+        fields = row.split(",")
+        fields[3] = "1e308"
+        huge.write_text(header + "\n" + ",".join(fields) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "shadowprune.cli", "predict", str(model_path), str(huge)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        value = float(proc.stdout.splitlines()[1].split(",")[3])
+        assert np.isfinite(value)
+
 
 class TestEvaluate:
     def test_full_report_and_saved_model(self, dataset, tmp_path, capsys):

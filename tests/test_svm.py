@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowprune.errors import (
@@ -31,7 +31,6 @@ from shadowprune.svm import (
     predict,
     save_model,
     serialize_model,
-    support_vectors,
     train,
 )
 
@@ -67,6 +66,12 @@ def separable_set(seed: int, n_cap: int = 50, gap: float = 0.1) -> TrainingSet:
     return TrainingSet(x, y)
 
 
+def margin_rows(model: SvmModel, data: TrainingSet) -> list[int]:
+    """Rows on or inside the margin: y·f(x) <= 1 + tolerance."""
+    yf = data.y * decision_values(model, data.x)
+    return np.flatnonzero(yf <= 1.0 + model.tolerance).tolist()
+
+
 def alphas_of(model: SvmModel, data: TrainingSet) -> np.ndarray:
     full = np.zeros(data.n)
     for k, i in enumerate(model.support_vector_indices):
@@ -98,11 +103,11 @@ class TestToyGeometry:
 
     def test_two_point_support_vectors(self):
         data = two_point_set()
-        assert support_vectors(train(data, HARD), data) == (0, 1)
+        assert margin_rows(train(data, HARD), data) == [0, 1]
 
     def test_four_point_all_support(self):
         data = four_point_set()
-        assert support_vectors(train(data, HARD), data) == (0, 1, 2, 3)
+        assert margin_rows(train(data, HARD), data) == [0, 1, 2, 3]
 
     def test_support_vector_decision_is_unit(self):
         data = four_point_set()
@@ -128,11 +133,12 @@ class TestOracleAgreement:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1))
+    @example(6438)
     def test_oracle_support_vectors_are_found(self, seed):
         data = separable_set(seed, n_cap=30)
         oracle = hard_margin_oracle(data.x, data.y)
         m = train(data, HARD)
-        found = set(support_vectors(m, data))
+        found = set(margin_rows(m, data))
         w, b, _ = oracle
         slack = data.y * (data.x @ w - b)
         for i in np.flatnonzero(slack <= 1.0 + 1e-6):
@@ -142,6 +148,12 @@ class TestOracleAgreement:
 class TestKktAndDual:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 10.0]))
+    @example(16355, 0.5)
+    @example(1771, 0.5)
+    @example(14476, 1.0)
+    @example(88868, 0.5)
+    @example(1165671, 0.5)
+    @example(68119705, 10.0)
     def test_kkt_residuals_within_tolerance(self, seed, c):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 30))
@@ -194,6 +206,9 @@ class TestSymmetries:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["linear", "rbf"]))
+    @example(16355, "linear")
+    @example(11262, "linear")
+    @example(4696, "linear")
     def test_feature_swap_equivariance(self, seed, kernel):
         data = separable_set(seed, n_cap=25)
         swapped = TrainingSet(data.x[:, ::-1], data.y)
@@ -236,7 +251,7 @@ class TestSymmetries:
 class TestDeterminism:
     def test_identical_bytes_across_runs(self):
         data = separable_set(1234)
-        cfg = TrainConfig(kernel="linear", C=2.0, rng_seed=7)
+        cfg = TrainConfig(kernel="linear", C=2.0)
         assert serialize_model(train(data, cfg)) == serialize_model(train(data, cfg))
 
     def test_rbf_identical_bytes(self):
@@ -245,7 +260,7 @@ class TestDeterminism:
         y = np.where(rng.random(18) < 0.5, 1.0, -1.0)
         y[0], y[1] = 1.0, -1.0
         data = TrainingSet(x, y)
-        cfg = TrainConfig(kernel="rbf", C=1.0, rng_seed=3)
+        cfg = TrainConfig(kernel="rbf", C=1.0)
         assert serialize_model(train(data, cfg)) == serialize_model(train(data, cfg))
 
 
@@ -306,6 +321,13 @@ class TestPersistence:
         bumped = text.replace("shadowprune-model v1", "shadowprune-model v9", 1)
         with pytest.raises(SchemaVersionMismatch):
             deserialize_model(bumped)
+
+    def test_old_rng_seed_line_is_ignored(self):
+        text = serialize_model(train(four_point_set(), TrainConfig(kernel="rbf")))
+        assert "rng_seed" not in text
+        old = text.replace("\nn_train_rows ", "\nrng_seed 7\nn_train_rows ", 1)
+        assert "rng_seed 7" in old
+        assert serialize_model(deserialize_model(old)) == text
 
     def test_truncated_file(self):
         text = serialize_model(train(two_point_set(), HARD))
