@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
-from .errors import DataError, InvalidConfig, IoError, NumericError, ShadowPruneError
+from .errors import DataError, InvalidConfig, NumericError, ShadowPruneError
 from .features import GridConfig, fit_normalizer
+from .fileio import csv_text, write_file
 from .imgcore import load_image, save_pgm, to_gray
 from .pipeline import (
     FeatureTable,
@@ -148,13 +148,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_text(path: str, text: str, what: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {what} {path}: {exc}") from exc
-
-
 def _note(args: argparse.Namespace, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr)
@@ -209,14 +202,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     table = read_features_csv(args.features)
-    lines = [",".join(PREDICTIONS_FIELDS)]
-    for tree_id, photo_id, value in zip(
-        table.tree_ids, table.photo_ids, decision_values(model, table.x).tolist()
-    ):
-        lines.append(f"{tree_id},{photo_id},{decision_label(value)},{value!r}")
-    text = "\n".join(lines) + "\n"
+    values = decision_values(model, table.x).tolist()
+    rows = [(tree_id, photo_id, str(decision_label(v)), repr(v))
+            for tree_id, photo_id, v in zip(table.tree_ids, table.photo_ids, values)]
+    text = csv_text((PREDICTIONS_FIELDS, *rows), lineterminator="\n")
     if args.output:
-        _write_text(args.output, text, "predictions")
+        write_file(args.output, text, "predictions")
         print(f"wrote {len(table)} predictions to {args.output}")
     else:
         print(text, end="")
@@ -243,7 +234,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     print(result.report.to_text(), end="")
     if args.report:
-        _write_text(args.report, result.report.to_kv(), "report")
+        write_file(args.report, result.report.to_kv(), "report")
         _note(args, f"wrote report to {args.report}")
     if args.save_model:
         best = result.report.best()
@@ -297,21 +288,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except InvalidConfig as exc:
+    except (ShadowPruneError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShadowPruneError as exc:  # pragma: no cover - base-class fallback
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (InvalidConfig, ValueError)):
+            return 1
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, MalformedFile, UnsupportedFormat
+from .errors import MalformedFile, UnsupportedFormat
+from .fileio import read_file, write_file
 
 # Channel weights of the grayscale conversion, in (r, g, b) order.
 GRAY_WEIGHTS = (0.21, 0.72, 0.07)
@@ -267,16 +268,9 @@ def encode_ppm(img: RgbImage, raw: bool = True) -> bytes:
 
 
 def load_image(path: str | Path) -> RgbImage | GrayImage:
-    """Read and decode an image file; wraps filesystem errors as IoError."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as err:
-        raise IoError(f"cannot read image {path}: {err}") from err
-    return decode_image(data)
+    """Read and decode an image file; filesystem errors raise IoError."""
+    return decode_image(read_file(path, "image"))
 
 
 def save_pgm(path: str | Path, img: GrayImage, raw: bool = True) -> None:
-    try:
-        Path(path).write_bytes(encode_pgm(img, raw=raw))
-    except OSError as err:
-        raise IoError(f"cannot write image {path}: {err}") from err
+    write_file(path, encode_pgm(img, raw=raw), "image")

@@ -11,9 +11,9 @@ side.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,13 +25,13 @@ from .errors import (
     DuplicatePhotoId,
     InsufficientData,
     InvalidLabel,
-    IoError,
     LabelConflict,
     MalformedFile,
     MissingImage,
     ShadowPruneError,
 )
 from .features import N_FEATURES, GridConfig, extract_features, fit_normalizer
+from .fileio import csv_text, read_csv, write_file
 from .imgcore import load_image, to_gray
 from .pooling import PoolConfig, pool
 from .svm import (
@@ -96,32 +96,12 @@ def ingest(manifest_path: str | Path) -> list[TreeRecord]:
     referenced image must exist; (tree_id, photo_id) pairs must be
     unique; one tree must not carry two different labels.
     """
-    path = Path(manifest_path)
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise IoError(f"cannot read manifest {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise MalformedFile(f"unreadable manifest {path}: {exc}") from exc
-    if not rows:
-        raise MalformedFile(f"manifest {path} is empty")
-    if tuple(rows[0]) != MANIFEST_FIELDS:
-        raise MalformedFile(
-            f"manifest header must be {','.join(MANIFEST_FIELDS)}, got {rows[0]}"
-        )
-    if len(rows) == 1:
-        raise InsufficientData(f"manifest {path} has no data rows")
-
-    base = path.parent
+    rows = read_csv(manifest_path, MANIFEST_FIELDS, "manifest")
+    base = Path(manifest_path).parent
     seen: set[tuple[str, str]] = set()
     labels: dict[str, int] = {}
     points: dict[str, list[SamplePoint]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(MANIFEST_FIELDS):
-            raise MalformedFile(f"manifest line {lineno}: expected 4 fields, got {len(row)}")
-        tree_id, photo_id, image_path, raw_label = (v.strip() for v in row)
+    for lineno, (tree_id, photo_id, image_path, raw_label) in enumerate(rows, start=2):
         if raw_label not in _LABEL_MAP:
             raise InvalidLabel(
                 f"manifest line {lineno}: label {raw_label!r} not in {{0, 1, -1, +1}}"
@@ -137,7 +117,7 @@ def ingest(manifest_path: str | Path) -> list[TreeRecord]:
         resolved = Path(image_path)
         if not resolved.is_absolute():
             resolved = base / resolved
-        if not resolved.is_file():
+        if not os.path.isfile(resolved):  # Path.is_file raises on an overlong name
             raise MissingImage(f"manifest line {lineno}: no image at {resolved}")
         points.setdefault(tree_id, []).append(
             SamplePoint(tree_id=tree_id, photo_id=photo_id, image_path=resolved)
@@ -493,16 +473,10 @@ class FeatureTable:
 
 
 def write_features_csv(path: str | Path, table: FeatureTable) -> None:
-    try:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(FEATURES_FIELDS)
-            for tree_id, photo_id, (rate, unif), label in zip(
-                table.tree_ids, table.photo_ids, table.x.tolist(), table.y.tolist()
-            ):
-                writer.writerow((tree_id, photo_id, repr(rate), repr(unif), str(label)))
-    except OSError as exc:
-        raise IoError(f"cannot write features CSV {path}: {exc}") from exc
+    rows = [(tree_id, photo_id, repr(rate), repr(unif), str(label))
+            for tree_id, photo_id, (rate, unif), label
+            in zip(table.tree_ids, table.photo_ids, table.x.tolist(), table.y.tolist())]
+    write_file(path, csv_text((FEATURES_FIELDS, *rows)), "features CSV")
 
 
 def _feature_row(rate: str, unif: str) -> tuple[float, float]:
@@ -518,22 +492,9 @@ def _feature_row(rate: str, unif: str) -> tuple[float, float]:
 
 
 def read_features_csv(path: str | Path) -> FeatureTable:
-    try:
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoError(f"cannot read features CSV {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise MalformedFile(f"unreadable features CSV {path}: {exc}") from exc
-    if not rows or tuple(rows[0]) != FEATURES_FIELDS:
-        raise MalformedFile(
-            f"features CSV header must be {','.join(FEATURES_FIELDS)}"
-        )
+    rows = read_csv(path, FEATURES_FIELDS, "features CSV")
     tree_ids, photo_ids, x, y = [], [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(FEATURES_FIELDS):
-            raise MalformedFile(f"features CSV line {lineno}: expected 5 fields")
-        tree_id, photo_id, rate, unif, raw_label = (v.strip() for v in row)
+    for lineno, (tree_id, photo_id, rate, unif, raw_label) in enumerate(rows, start=2):
         if raw_label not in _LABEL_MAP:
             raise InvalidLabel(f"features CSV line {lineno}: label {raw_label!r}")
         try:
@@ -543,6 +504,4 @@ def read_features_csv(path: str | Path) -> FeatureTable:
         tree_ids.append(tree_id)
         photo_ids.append(photo_id)
         y.append(_LABEL_MAP[raw_label])
-    if not x:
-        raise InsufficientData(f"features CSV {path} has no data rows")
     return FeatureTable(tree_ids, photo_ids, np.array(x), y)

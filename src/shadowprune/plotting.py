@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, IoError
+from .errors import DimensionMismatch
+from .fileio import write_file
 from .pipeline import FeatureTable
 from .svm import KERNEL_LINEAR, SvmModel, decision_values
 
@@ -230,7 +231,4 @@ def write_svg(
     model: SvmModel,
     spec: PlotSpec = PlotSpec(),
 ) -> None:
-    try:
-        Path(path).write_text(render_svg(table, model, spec), encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write SVG {path}: {exc}") from exc
+    write_file(path, render_svg(table, model, spec), "SVG")

@@ -22,13 +22,13 @@ import numpy as np
 from .errors import (
     CorruptModel,
     DimensionMismatch,
-    IoError,
     NonConvergence,
     NumericError,
     SchemaVersionMismatch,
     SingleClassData,
 )
 from .features import Normalizer
+from .fileio import read_file, write_file
 
 KERNEL_LINEAR = "linear"
 KERNEL_RBF = "rbf"
@@ -420,7 +420,7 @@ def serialize_model(model: SvmModel) -> str:
 
 
 def deserialize_model(text: str) -> SvmModel:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CorruptModel("empty model file")
     head = lines[0].split()
@@ -504,17 +504,12 @@ def deserialize_model(text: str) -> SvmModel:
 
 
 def save_model(model: SvmModel, path: str | Path) -> None:
-    try:
-        Path(path).write_text(serialize_model(model), encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write model file {path}: {exc}") from exc
+    write_file(path, serialize_model(model), "model file")
 
 
 def load_model(path: str | Path) -> SvmModel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read model file {path}: {exc}") from exc
+        text = read_file(path, "model file").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptModel(f"model file {path} is not UTF-8 text: {exc}") from exc
     return deserialize_model(text)

@@ -14,7 +14,6 @@ fraction, grid-count spread) separate the classes by construction.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, IoError
+from .fileio import csv_text, write_file
 from .imgcore import GrayImage, encode_pgm
 from .pipeline import MANIFEST_FIELDS
 
@@ -198,18 +198,9 @@ def generate_dataset(
             )
             result = generate(cfg)
             rel = f"images/{tree_id}_p{point_idx:02d}.pgm"
-            try:
-                (out / rel).write_bytes(encode_pgm(result.image))
-            except OSError as exc:
-                raise IoError(f"cannot write image {out / rel}: {exc}") from exc
+            write_file(out / rel, encode_pgm(result.image), "image")
             rows.append((tree_id, f"p{point_idx:02d}", rel, csv_label))
 
     manifest = out / MANIFEST_NAME
-    try:
-        with manifest.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(MANIFEST_FIELDS)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write manifest {manifest}: {exc}") from exc
+    write_file(manifest, csv_text((MANIFEST_FIELDS, *rows)), "manifest")
     return manifest

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import inspect
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from shadowprune import errors
 from shadowprune.cli import main
 from shadowprune.imgcore import GrayImage, decode_image, encode_pgm
-from shadowprune.pipeline import read_features_csv
+from shadowprune.pipeline import FeatureTable, read_features_csv, write_features_csv
 from shadowprune.svm import TrainConfig, TrainingSet, load_model, save_model, train
 
 
@@ -55,6 +59,27 @@ class TestExitCodes:
             ["synth", "--out", str(tmp_path / "d"), "--coverage-good", "1.5"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+         if issubclass(cls, errors.ShadowPruneError)] + [ValueError],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_exit_code_of_every_error_class(self, error, tmp_path, monkeypatch, capsys):
+        if issubclass(error, (errors.InvalidConfig, ValueError)):
+            expected = 1
+        elif issubclass(error, errors.NumericError):
+            expected = 3
+        else:
+            expected = 2
+
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr("shadowprune.cli.cmd_synth", fail)
+        assert main(["synth", "--out", str(tmp_path)]) == expected
+        assert capsys.readouterr().err == "error: boom\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -178,6 +203,27 @@ class TestTrainPredict:
         assert main(["predict", str(model_path), str(tree_csv)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("tree_id,photo_id,prediction,decision_value")
+
+    def test_predict_quotes_ids_with_commas_and_quotes(self, tmp_path, capsys):
+        tree_ids = ("t,000", 't"1', "t2", 'a,"b"')
+        table = FeatureTable(
+            tree_ids, ("p,1", "", 'p"2', ""),
+            np.array([[0.1, 1.0], [0.2, 2.0], [0.8, 8.0], [0.9, 9.0]]), [1, 1, -1, -1],
+        )
+        features = tmp_path / "f.csv"
+        write_features_csv(features, table)
+        model_path = tmp_path / "m.model"
+        assert main(["train", str(features), str(model_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert main(["predict", str(model_path), str(features), "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(features)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert capsys.readouterr().out == text
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert all(len(row) == 4 for row in rows)
+        assert [(r[0], r[1]) for r in rows[1:]] == list(zip(tree_ids, table.photo_ids))
 
     def test_predict_output_into_missing_directory(self, tree_csv, tmp_path, capsys):
         model_path = tmp_path / "m.model"

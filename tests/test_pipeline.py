@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shadowprune.errors import (
@@ -139,6 +139,34 @@ class TestIngest:
         manifest.write_text("tree_id,photo_id,image_path,label\nt1,p1,a.pgm\n")
         with pytest.raises(MalformedFile):
             ingest(manifest)
+
+    @given(
+        st.sampled_from(["tree_id,photo_id,image_path,label", "", "tree_id,photo_id",
+                         "tree,photo,path,label", '"tree_id",photo_id,image_path,label',
+                         "tree_id,photo_id,image_path,label,extra"]) | st.text(max_size=12),
+        st.binary(max_size=200) | st.lists(
+            st.lists(st.sampled_from(["t1", "p1", "p2", "a.pgm", "ghost.pgm", "sub", "sub/",
+                                      "ABS", "x" * 300, "1", "0", "+1", "-1", "2", '"',
+                                      "", " ", "\r", "\x00"])
+                     | st.text(max_size=6), max_size=6).map(",".join),
+            max_size=5).map(lambda rows: "\n".join(rows).encode("utf-8", "surrogatepass")),
+    )
+    @example("tree_id,photo_id,image_path,label", b"t1,p1," + b"x" * 300 + b",1")
+    @example("tree_id,photo_id,image_path,label", b"t1,p1,sub,1")
+    @example("tree_id,photo_id,image_path,label", b"t1,p1,ABS,1\nt1,p2,a.pgm,+1")
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzz_only_library_errors_escape(self, tmp_path, header, body):
+        put_image(tmp_path, "a.pgm")
+        (tmp_path / "sub").mkdir(exist_ok=True)
+        body = body.replace(b"ABS", str(tmp_path / "a.pgm").encode())
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(header.encode("utf-8", "surrogatepass") + b"\n" + body)
+        try:
+            records = ingest(manifest)
+        except ShadowPruneError:
+            return
+        assert all(p.image_path.is_file() for r in records for p in r.points)
 
 
 class TestEffectiveGrid:
