@@ -52,11 +52,25 @@ def read_file(path: str | Path, what: str) -> bytes:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def csv_text(rows: Iterable[Sequence[str]], lineterminator: str = "\r\n") -> str:
-    """Rows as CSV text, a field quoted only where it needs it."""
+def _csv_rows(rows: Iterable[Sequence[str]], lineterminator: str) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator=lineterminator).writerows(rows)
     return buf.getvalue()
+
+
+def csv_text(rows: Iterable[Sequence[str]], lineterminator: str = "\r\n") -> str:
+    """Rows as CSV text, a field quoted only where it needs it.
+
+    The csv writer quotes a line break only if the terminator holds it;
+    a field with CR or LF is quoted whatever the terminator, so that a
+    reader does not split its row.
+    """
+    rows = list(rows)
+    text = _csv_rows(rows, lineterminator)
+    if not any(c in text and c not in lineterminator for c in "\r\n"):
+        return text
+    # CRLF quotes both breaks; each row swaps it for the wanted terminator.
+    return "".join(_csv_rows([row], "\r\n")[:-2] + lineterminator for row in rows)
 
 
 def read_csv(path: str | Path, fields: Sequence[str], what: str) -> list[list[str]]:

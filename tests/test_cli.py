@@ -81,6 +81,27 @@ class TestExitCodes:
         assert main(["synth", "--out", str(tmp_path)]) == expected
         assert capsys.readouterr().err == "error: boom\n"
 
+    def test_command_patched_after_first_call_is_called(self, tmp_path, monkeypatch):
+        # The parser is built once; main looks the command up per call.
+        assert main(["synth", "--out", str(tmp_path / "d"), "--trees", "1",
+                     "--points", "1"]) == 0
+        seen = []
+        monkeypatch.setattr("shadowprune.cli.cmd_synth", lambda args: seen.append(args) or 7)
+        assert main(["synth", "--out", str(tmp_path / "e")]) == 7
+        assert len(seen) == 1 and not (tmp_path / "e").exists()
+
+    def test_flags_do_not_leak_into_the_next_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr("shadowprune.cli.cmd_extract", lambda args: seen.append(args) or 0)
+        assert main(["--verbose", "--seed", "5", "extract", "--per-tree", "--no-pool",
+                     "--grid", "7", "m.csv", "a.csv"]) == 0
+        assert main(["extract", "m.csv", "b.csv"]) == 0
+        first, second = (vars(a) for a in seen)
+        assert (first["verbose"], first["per_tree"], first["no_pool"], first["grid"],
+                first["seed"]) == (True, True, True, 7, 5)
+        assert (second["verbose"], second["per_tree"], second["no_pool"], second["grid"],
+                second["seed"], second["output"]) == (False, False, False, 100, 0, "b.csv")
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "shadowprune.cli", "--help"],
@@ -224,6 +245,28 @@ class TestTrainPredict:
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert all(len(row) == 4 for row in rows)
         assert [(r[0], r[1]) for r in rows[1:]] == list(zip(tree_ids, table.photo_ids))
+
+    def test_predict_quotes_ids_with_carriage_returns(self, tmp_path, capsys):
+        table = FeatureTable(
+            ("t\r1", "t2", "t\n3", "t4"), ("p1", "p\r2", "", ""),
+            np.array([[0.1, 1.0], [0.2, 2.0], [0.8, 8.0], [0.9, 9.0]]), [1, 1, -1, -1],
+        )
+        features = tmp_path / "f.csv"
+        write_features_csv(features, table)
+        model_path = tmp_path / "m.model"
+        assert main(["train", str(features), str(model_path)]) == 0
+        out = tmp_path / "p.csv"
+        assert main(["predict", str(model_path), str(features), "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["predict", str(model_path), str(features)]) == 0
+        text = out.read_bytes().decode("utf-8")
+        assert capsys.readouterr().out == text
+        # Plain ids stay unquoted on LF-terminated lines.
+        assert text.startswith("tree_id,photo_id,prediction,decision_value\n")
+        assert "\nt4,,-1," in text
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert all(len(row) == 4 for row in rows)
+        assert [(r[0], r[1]) for r in rows[1:]] == list(zip(table.tree_ids, table.photo_ids))
 
     def test_predict_output_into_missing_directory(self, tree_csv, tmp_path, capsys):
         model_path = tmp_path / "m.model"

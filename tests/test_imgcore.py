@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shadowprune.errors import IoError, MalformedFile, UnsupportedFormat
+from shadowprune.errors import IoError, MalformedFile, ShadowPruneError, UnsupportedFormat
 from shadowprune.imgcore import (
     BinaryImage,
     GrayImage,
@@ -191,6 +191,31 @@ class TestDecode:
         assert isinstance(img, RgbImage)
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 9
+
+    @given(
+        st.binary(max_size=300)
+        | st.tuples(
+            st.sampled_from([b"P2", b"P3", b"P5", b"P6"]),
+            st.lists(st.sampled_from([b"0", b"1", b"2", b"3", b"-1", b"+2", b"1_0", b"255",
+                                      b"256", b"99999999", b"9" * 5000, b"#c\n", b"#",
+                                      b"\xff", b"\x00", b"\v", b"1e3", b"0x1"])
+                     | st.binary(max_size=4), max_size=10),
+            st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b""]),
+            st.binary(max_size=60),
+        ).map(lambda t: t[0] + t[2] + t[2].join(t[1]) + t[2] + t[3]),
+    )
+    @example(b"P5 1 1 255 \x00")
+    @example(b"P2 2 1 255 1 2 3")
+    @example(b"P6 1 1 255\n\x00\x00")
+    @example(b"P3 0 1 255 ")
+    @example(b"P2 1 1 " + b"9" * 5000)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_library_errors_escape(self, data):
+        try:
+            img = decode_image(data)
+        except ShadowPruneError:
+            return
+        assert img.pixels.dtype == np.uint8
 
     def test_plain_sample_count_bounded_by_body(self):
         # 10^10 samples cannot fit in a two-byte body: rejected before

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shadowprune.errors import DegenerateHistogram, InvalidConfig
 from shadowprune.features import black_pixel_rate, extract_features
 from shadowprune.pipeline import extract_dataset, ingest
 from shadowprune.pooling import PoolConfig
 from shadowprune.synth import (
+    _MAX_BLOBS,
     LABEL_GOOD,
     LABEL_POOR,
     REGIME_GOOD,
@@ -123,6 +126,111 @@ class TestGenerate:
     def test_result_carries_label(self):
         assert generate(default_config(REGIME_GOOD)).label == 1
         assert generate(default_config(REGIME_POOR)).label == -1
+
+
+def reference_generate(cfg):
+    """The full-frame loop: every blob is tested on, and re-sums, the whole mask."""
+    rng = np.random.default_rng(cfg.seed)
+    total = cfg.height * cfg.width
+    mask = np.zeros((cfg.height, cfg.width), dtype=bool)
+    ys = np.arange(cfg.height, dtype=np.float64)[:, None] + 0.5
+    xs = np.arange(cfg.width, dtype=np.float64)[None, :] + 0.5
+    lo, hi = cfg.radius_range
+    blobs = 0
+    while mask.sum() < cfg.coverage * total:
+        if blobs >= _MAX_BLOBS:
+            raise InvalidConfig(
+                f"coverage {cfg.coverage} not reached after {_MAX_BLOBS} blobs"
+            )
+        cx = rng.uniform(0.0, cfg.width)
+        cy = rng.uniform(0.0, cfg.height)
+        rx = rng.uniform(lo, hi)
+        ry = rng.uniform(lo, hi)
+        mask |= ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
+        blobs += 1
+    achieved = int(mask.sum()) / total
+    slack = 1.0 / total
+    image = render_image(mask, cfg.shadow_mean, cfg.background_mean, cfg.noise, rng)
+    return GenResult(image, max(0.0, achieved - slack), min(1.0, achieved + slack),
+                     cfg.label)
+
+
+class _Scripted:
+    """A seeded generator whose first uniform draws are given fractions
+    of their range, so a blob can sit exactly on the frame's edge."""
+
+    def __init__(self, seed, fractions):
+        self._rng = _default_rng(seed)
+        self._fractions = iter(fractions)
+
+    def uniform(self, low, high):
+        f = next(self._fractions, None)
+        return self._rng.uniform(low, high) if f is None else low + f * (high - low)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+_default_rng = np.random.default_rng
+
+
+def _outcome(fn, cfg):
+    try:
+        r = fn(cfg)
+    except InvalidConfig as exc:
+        return str(exc)
+    return r.image.pixels.tobytes(), r.coverage_low, r.coverage_high, r.label
+
+
+@st.composite
+def synth_configs(draw):
+    height, width = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    edge = 2.0 * max(height, width)
+    lo = draw(st.floats(0.5, edge))
+    hi = draw(st.floats(lo, edge))
+    return SynthConfig(
+        height=height, width=width,
+        regime=draw(st.sampled_from([REGIME_GOOD, REGIME_POOR])),
+        coverage=draw(st.floats(0.0, 0.9, exclude_max=True)),
+        radius_range=(lo, hi),
+        seed=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))),
+    )
+
+
+class TestWindowedBlobs:
+    """generate draws each blob on its window; the full-frame loop is the oracle."""
+
+    @given(synth_configs(),
+           st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), max_size=12))
+    @example(SynthConfig(height=9, width=7, coverage=0.05, seed=(1,)), [0.0, 0.0, 0.5, 0.5])
+    @example(SynthConfig(height=9, width=7, coverage=0.05, seed=(2,)), [1.0, 1.0, 0.0, 1.0])
+    @example(SynthConfig(height=1, width=40, coverage=0.5, radius_range=(0.5, 3.0),
+                         seed=(3,)), [])
+    @example(SynthConfig(height=33, width=1, coverage=0.5, seed=(4,)), [])
+    @example(SynthConfig(height=20, width=30, coverage=0.8, radius_range=(45.0, 60.0),
+                         seed=(5,)), [])
+    @example(SynthConfig(height=64, width=64, coverage=0.6, radius_range=(70.0, 128.0),
+                         seed=(6,)), [0.5, 0.5])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_frame_loop(self, cfg, fractions):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "default_rng", lambda seed: _Scripted(seed, fractions))
+            assert _outcome(generate, cfg) == _outcome(reference_generate, cfg)
+
+    def test_unreached_coverage_raises_the_same_error(self, monkeypatch):
+        # Every blob sits on the corner, too thin to cover a pixel center.
+        cfg = SynthConfig(height=4, width=4, coverage=0.5, radius_range=(0.01, 0.01))
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _Scripted(seed, [0.0] * 4 * _MAX_BLOBS))
+        message = _outcome(generate, cfg)
+        assert message == f"coverage 0.5 not reached after {_MAX_BLOBS} blobs"
+        assert message == _outcome(reference_generate, cfg)
+
+    @pytest.mark.parametrize("regime", [REGIME_GOOD, REGIME_POOR])
+    def test_stock_regimes_match_full_frame_loop(self, regime):
+        for seed in range(3):
+            cfg = default_config(regime, seed=(seed, 1, 2))
+            assert _outcome(generate, cfg) == _outcome(reference_generate, cfg)
 
 
 class TestGenerateDataset:
