@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import sys
 
 from .errors import DataError, InvalidConfig, NumericError, ShadowPruneError
@@ -64,10 +63,7 @@ def _pool_cfg(args: argparse.Namespace) -> PoolConfig:
     return PoolConfig(p=args.pool_factor, enabled=not args.no_pool)
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The one parser; `command` names the subcommand, and main calls
-    the module's `cmd_<command>` as it stands at call time."""
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="shadowprune",
         description="Rate tree pruning from canopy shadow photos: "
@@ -85,6 +81,7 @@ def _parser() -> _Parser:
     _add_pool_flags(p)
     p.add_argument("--plain", action="store_true",
                    help="write text P2 instead of raw P5")
+    p.set_defaults(func=cmd_binarize)
 
     p = sub.add_parser("extract", help="manifest -> features CSV")
     p.add_argument("manifest", help="dataset manifest CSV")
@@ -94,6 +91,7 @@ def _parser() -> _Parser:
                    help="counting grid edge before pooling (default 100)")
     p.add_argument("--per-tree", action="store_true",
                    help="one aggregated row per tree instead of per photo")
+    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="features CSV -> model file")
     p.add_argument("features", help="features CSV (typically per-tree rows)")
@@ -107,11 +105,13 @@ def _parser() -> _Parser:
                    help="solver stopping tolerance (default 1e-4)")
     p.add_argument("--max-iter", type=int, default=None,
                    help="solver step budget (default 10*n*1000)")
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="model + features CSV -> labels")
     p.add_argument("model", help="model file")
     p.add_argument("features", help="features CSV")
     p.add_argument("--output", help="predictions CSV (default: stdout)")
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate",
                        help="manifest -> split, train, test accuracy report")
@@ -125,6 +125,7 @@ def _parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--report", help="also write the key-value report here")
     p.add_argument("--save-model", help="save the winning model here")
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="write a labeled synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
@@ -136,11 +137,13 @@ def _parser() -> _Parser:
                    help="shadow fraction for the well-pruned regime")
     p.add_argument("--coverage-poor", type=float, default=None,
                    help="shadow fraction for the poorly pruned regime")
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("plot", help="features CSV + model -> SVG scatter")
     p.add_argument("features", help="features CSV")
     p.add_argument("model", help="model file")
     p.add_argument("output", help="SVG path")
+    p.set_defaults(func=cmd_plot)
 
     return parser
 
@@ -278,12 +281,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        return args.func(args)
     except (ShadowPruneError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (InvalidConfig, ValueError)):

@@ -82,7 +82,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: boom\n"
 
     def test_command_patched_after_first_call_is_called(self, tmp_path, monkeypatch):
-        # The parser is built once; main looks the command up per call.
+        # A command patched between two calls is the one the second runs.
         assert main(["synth", "--out", str(tmp_path / "d"), "--trees", "1",
                      "--points", "1"]) == 0
         seen = []
