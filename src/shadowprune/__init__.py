@@ -64,7 +64,7 @@ from .pipeline import (
     split,
     write_features_csv,
 )
-from .pooling import PoolConfig, pool
+from .pooling import PoolConfig, binarize_pooled, pool
 from .svm import (
     SvmModel,
     TrainConfig,
@@ -80,7 +80,6 @@ from .synth import SynthConfig, generate, generate_dataset
 from .threshold import (
     Histogram,
     OtsuResult,
-    auto_binarize,
     binarize,
     histogram,
     otsu_threshold,

@@ -15,7 +15,7 @@ import sys
 from .errors import DataError, InvalidConfig, NumericError, ShadowPruneError
 from .features import GridConfig, fit_normalizer
 from .fileio import csv_text, write_file
-from .imgcore import load_image, save_pgm, to_gray
+from .imgcore import load_image, save_pgm
 from .pipeline import (
     FeatureTable,
     SplitSpec,
@@ -25,7 +25,7 @@ from .pipeline import (
     run_experiment,
     write_features_csv,
 )
-from .pooling import PoolConfig, pool
+from .pooling import PoolConfig, binarize_pooled
 from .plotting import write_svg
 from .svm import (
     KERNELS,
@@ -38,7 +38,6 @@ from .svm import (
     train,
 )
 from .synth import REGIME_GOOD, REGIME_POOR, default_config, generate_dataset
-from .threshold import auto_binarize
 
 PREDICTIONS_FIELDS = ("tree_id", "photo_id", "prediction", "decision_value")
 
@@ -154,9 +153,7 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def cmd_binarize(args: argparse.Namespace) -> int:
-    gray = to_gray(load_image(args.input))
-    binary, result = auto_binarize(gray)
-    binary = pool(binary, _pool_cfg(args))
+    binary, result = binarize_pooled(load_image(args.input), _pool_cfg(args))
     save_pgm(args.output, binary, raw=not args.plain)
     print(result.audit_line())
     _note(args, f"wrote {binary.height}x{binary.width} binary image to {args.output}")

@@ -13,6 +13,7 @@ already-checked images are wrapped as they are, without a copy or a scan.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,10 @@ _WHITESPACE = frozenset(b" \t\r\n\v\f")
 # Pixels per block of the colour grayscale, small enough for the float
 # temporaries to stay in cache.
 _GRAY_CHUNK = 1 << 16
+
+# The two float64 buffers of the colour grayscale, kept between calls;
+# one pair per thread, as worker threads convert blocks of one photo.
+_FLOAT_BUFFERS = threading.local()
 
 
 def _check_intensity(px: np.ndarray, what: str) -> None:
@@ -109,22 +114,33 @@ def to_gray(img: RgbImage | GrayImage) -> GrayImage:
     Results are rounded half-up so the output stays integral; equal-channel
     pixels (v, v, v) map back to v for every v in [0, 255].  A GrayImage is
     already gray and comes back unchanged.
-
-    The float64 formula runs over blocks of rows through two reused
-    buffers, with the same operations in the same order on every pixel.
     """
     if isinstance(img, GrayImage):
         return img
-    wr, wg, wb = GRAY_WEIGHTS
-    rgb = img.pixels
     out = np.empty((img.height, img.width), dtype=np.uint8)
-    step = max(1, _GRAY_CHUNK // max(1, img.width))
-    acc = np.empty((min(step, img.height), img.width))
-    term = np.empty_like(acc)
-    for top in range(0, img.height, step):
+    _gray_rows(img.pixels, out)
+    return GrayImage._trusted(out)
+
+
+def _gray_rows(rgb: np.ndarray, out: np.ndarray) -> None:
+    """Write the grayscale of (h, w, 3) pixels into the (h, w) uint8 `out`.
+
+    The float64 formula runs over blocks of rows through two buffers
+    that each thread keeps between calls, with the same operations in
+    the same order on every pixel.
+    """
+    wr, wg, wb = GRAY_WEIGHTS
+    height, width = out.shape
+    step = max(1, _GRAY_CHUNK // max(1, width))
+    size = min(step, height) * width
+    buffers = getattr(_FLOAT_BUFFERS, "pair", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _FLOAT_BUFFERS.pair = (np.empty(size), np.empty(size))
+    for top in range(0, height, step):
         block = rgb[top : top + step]
-        gray = acc[: block.shape[0]]
-        part = term[: block.shape[0]]
+        shape = block.shape[:2]
+        gray = buffers[0][: shape[0] * width].reshape(shape)
+        part = buffers[1][: shape[0] * width].reshape(shape)
         # dtype pins the float64 loop, which numpy 1.x would not pick
         # for uint8 times a Python float.
         np.multiply(block[:, :, 0], wr, out=gray, dtype=np.float64)
@@ -132,7 +148,6 @@ def to_gray(img: RgbImage | GrayImage) -> GrayImage:
         gray += np.multiply(block[:, :, 2], wb, out=part, dtype=np.float64)
         gray += 0.5
         out[top : top + step] = np.floor(gray, out=gray)
-    return GrayImage._trusted(out)
 
 
 # --- netpbm parsing -------------------------------------------------------

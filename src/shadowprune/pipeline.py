@@ -32,8 +32,8 @@ from .errors import (
 )
 from .features import N_FEATURES, GridConfig, extract_features, fit_normalizer
 from .fileio import csv_text, read_csv, write_file
-from .imgcore import load_image, to_gray
-from .pooling import PoolConfig, pool
+from .imgcore import load_image
+from .pooling import PoolConfig, binarize_pooled
 from .svm import (
     SvmModel,
     TrainConfig,
@@ -42,7 +42,6 @@ from .svm import (
     decision_values,
     train,
 )
-from .threshold import auto_binarize
 
 MANIFEST_FIELDS = ("tree_id", "photo_id", "image_path", "label")
 FEATURES_FIELDS = ("tree_id", "photo_id", "black_pixel_rate", "uniformity", "label")
@@ -143,12 +142,10 @@ def extract_point_features(
     point: SamplePoint, pool_cfg: PoolConfig, grid_cfg: GridConfig
 ) -> np.ndarray:
     """decode -> gray -> threshold -> optional pool -> features for one photo."""
-    gray = to_gray(load_image(point.image_path))
     try:
-        binary, _ = auto_binarize(gray)
+        binary, _ = binarize_pooled(load_image(point.image_path), pool_cfg)
     except DegenerateHistogram as exc:
         raise DegenerateHistogram(f"{exc} (photo_id={point.photo_id})") from exc
-    binary = pool(binary, pool_cfg)
     return extract_features(binary, effective_grid(grid_cfg, pool_cfg))
 
 
@@ -171,18 +168,21 @@ def extract_dataset(
     pool_cfg: PoolConfig = PoolConfig(),
     grid_cfg: GridConfig = GridConfig(),
 ) -> list[TreeRecord]:
-    return [extract_tree_features(r, pool_cfg, grid_cfg) for r in records]
+    """Extract every tree; the first failing image raises its error."""
+    return extract_dataset_tolerant(records, pool_cfg, grid_cfg, strict=True)[0]
 
 
 def extract_dataset_tolerant(
     records: Iterable[TreeRecord],
     pool_cfg: PoolConfig = PoolConfig(),
     grid_cfg: GridConfig = GridConfig(),
+    strict: bool = False,
 ) -> tuple[list[TreeRecord], list[tuple[str, str]]]:
-    """Like extract_dataset, but a failing image fails only its tree.
+    """Extract every tree; a failing image fails only its tree.
 
     Returns the successfully extracted records plus (tree_id, reason)
-    pairs for the skipped ones, so reports can list them.
+    pairs for the skipped ones, so reports can list them.  With strict,
+    the first failure is raised instead.
     """
     done: list[TreeRecord] = []
     failures: list[tuple[str, str]] = []
@@ -190,6 +190,8 @@ def extract_dataset_tolerant(
         try:
             done.append(extract_tree_features(rec, pool_cfg, grid_cfg))
         except ShadowPruneError as exc:
+            if strict:
+                raise
             failures.append((rec.tree_id, str(exc)))
     return done, failures
 

@@ -63,7 +63,7 @@ class SynthConfig:
         if not 0.0 <= self.coverage < 1.0:
             raise InvalidConfig(f"coverage {self.coverage} outside [0, 1)")
         lo, hi = self.radius_range
-        if not 0 < lo <= hi:
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
             raise InvalidConfig(f"bad radius range {self.radius_range}")
         if not (0 <= self.shadow_mean <= 255 and 0 <= self.background_mean <= 255):
             raise InvalidConfig("intensity means must be in [0, 255]")

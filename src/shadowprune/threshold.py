@@ -5,6 +5,10 @@ The threshold t splits intensities into class 0 (below t) and class 1
 variance w0(t) * w1(t) * (mu0(t) - mu1(t))^2, which is equivalent to
 minimizing the weighted intra-class variance; candidates run over
 t in [1, 255] and ties go to the smallest t.
+
+A photo's threshold comes from the histogram of all its pixels, but
+the image path (`pooling.binarize_pooled`) binarizes only the pooled
+gray image, so a photo's BinaryImage exists only at the pooled size.
 """
 
 from __future__ import annotations
@@ -82,12 +86,17 @@ def histogram(img: GrayImage) -> Histogram:
     """Count pixels per intensity level."""
     if img.pixel_count == 0:
         raise EmptyImage("cannot histogram an empty image")
+    return Histogram(_count_levels(img.pixels), img.pixel_count)
+
+
+def _count_levels(pixels: np.ndarray) -> np.ndarray:
+    """Per-level counts of uint8 pixels, as 256 int64."""
     # bincount casts its input to intp; blocks keep that copy in cache.
-    flat = img.pixels.reshape(-1)
+    flat = pixels.reshape(-1)
     counts = np.zeros(LEVELS, dtype=np.int64)
     for start in range(0, flat.size, _HISTOGRAM_CHUNK):
         counts += np.bincount(flat[start : start + _HISTOGRAM_CHUNK], minlength=LEVELS)
-    return Histogram(counts, img.pixel_count)
+    return counts
 
 
 def otsu_threshold(h: Histogram) -> OtsuResult:
@@ -139,9 +148,3 @@ def binarize(img: GrayImage, t: int) -> BinaryImage:
     light = (img.pixels >= t).view(np.uint8)
     light *= 255
     return BinaryImage._trusted(light)
-
-
-def auto_binarize(img: GrayImage) -> tuple[BinaryImage, OtsuResult]:
-    """Binarize at the Otsu threshold; returns the result for audit logs."""
-    result = otsu_threshold(histogram(img))
-    return binarize(img, result.threshold), result

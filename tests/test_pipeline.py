@@ -233,6 +233,18 @@ class TestExtraction:
         assert [r.tree_id for r in done] == ["ok"]
         assert len(failures) == 1 and failures[0][0] == "bad"
 
+    def test_extract_dataset_raises_first_failure(self, tmp_path):
+        good = put_image(tmp_path, "good.pgm", rate=0.3)
+        flat = GrayImage(np.full((20, 20), 128, dtype=np.uint8))
+        (tmp_path / "flat.pgm").write_bytes(encode_pgm(flat))
+        records = [
+            TreeRecord(tree_id, 1, (SamplePoint(tree_id, photo_id, tmp_path / name),))
+            for tree_id, photo_id, name in (("ok", "p1", good), ("bad", "p2", "flat.pgm"),
+                                            ("worse", "p3", "flat.pgm"))
+        ]
+        with pytest.raises(DegenerateHistogram, match="photo_id=p2"):
+            extract_dataset(records, NO_POOL, GridConfig(10))
+
     def test_extract_dataset_preserves_order(self, tmp_path):
         a = put_image(tmp_path, "a.pgm", rate=0.2)
         records = [

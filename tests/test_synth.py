@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from shadowprune.errors import DegenerateHistogram, InvalidConfig
 from shadowprune.features import black_pixel_rate, extract_features
 from shadowprune.pipeline import extract_dataset, ingest
-from shadowprune.pooling import PoolConfig
+from shadowprune.pooling import PoolConfig, binarize_pooled
 from shadowprune.synth import (
     _MAX_BLOBS,
     LABEL_GOOD,
@@ -25,7 +25,7 @@ from shadowprune.synth import (
     generate_dataset,
     render_image,
 )
-from shadowprune.threshold import auto_binarize, binarize, otsu_threshold, histogram
+from shadowprune.threshold import binarize, otsu_threshold, histogram
 
 from oracles import hard_margin_oracle
 
@@ -41,6 +41,12 @@ class TestConfigValidation:
     def test_bad_radius(self):
         with pytest.raises(InvalidConfig):
             SynthConfig(radius_range=(0.0, 5.0))
+
+    @pytest.mark.parametrize("radius_range", [(4.0, float("inf")), (float("nan"), 9.0)])
+    def test_non_finite_radius(self, radius_range):
+        # an infinite end used to pass the order check and overflow rng.uniform
+        with pytest.raises(InvalidConfig):
+            SynthConfig(radius_range=radius_range)
 
     def test_modes_must_not_merge(self):
         # 40+90 = 130 > 215-90 = 125: Otsu could no longer recover the mask
@@ -79,7 +85,7 @@ class TestRenderAndRecover:
         rng = np.random.default_rng(3)
         mask = ellipse_mask(120, 120, 60.0, 60.0, 25.0, 40.0)
         img = render_image(mask, 40, 215, 20, rng)
-        binary, _ = auto_binarize(img)
+        binary, _ = binarize_pooled(img, PoolConfig(enabled=False))
         recovered = binary.pixels == 0
         assert np.array_equal(recovered, mask)
 
@@ -106,7 +112,7 @@ class TestGenerate:
     def test_binarized_rate_inside_declared_interval(self, regime):
         for seed in range(5):
             result = generate(default_config(regime, seed=(seed,)))
-            binary, _ = auto_binarize(result.image)
+            binary, _ = binarize_pooled(result.image, PoolConfig(enabled=False))
             rate = black_pixel_rate(binary)
             assert result.coverage_low <= rate <= result.coverage_high
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from shadowprune.errors import DegenerateHistogram, EmptyImage
 from shadowprune.threshold import (
     Histogram,
-    auto_binarize,
     binarize,
     histogram,
     otsu_threshold,
 )
 from shadowprune.imgcore import GrayImage
+from shadowprune.pooling import PoolConfig, binarize_pooled
 
 from oracles import global_variance, intra_class_variance, otsu_exhaustive
 
@@ -176,19 +176,21 @@ class TestBinarize:
 
 
 class TestAutoBinarize:
+    # Binarizing at the Otsu threshold is the unpooled path of binarize_pooled.
     def test_bimodal_modes_split(self):
         rng = np.random.default_rng(11)
         values = np.where(rng.random((20, 20)) < 0.5, 50, 200).astype(np.uint8)
         img = GrayImage(values)
-        out, result = auto_binarize(img)
+        out, result = binarize_pooled(img, PoolConfig(enabled=False))
         assert 50 < result.threshold <= 200
         assert np.array_equal(out.pixels == 0, values == 50)
 
     def test_constant_black_raises(self):
         with pytest.raises(DegenerateHistogram):
-            auto_binarize(GrayImage(np.zeros((4, 4), dtype=np.uint8)))
+            binarize_pooled(GrayImage(np.zeros((4, 4), dtype=np.uint8)),
+                            PoolConfig(enabled=False))
 
     def test_already_binary_is_fixed_point(self):
         img = gray_row([0, 0, 255, 255])
-        out, _ = auto_binarize(img)
+        out, _ = binarize_pooled(img, PoolConfig(enabled=False))
         assert np.array_equal(out.pixels, img.pixels)
