@@ -15,7 +15,7 @@ import sys
 from .errors import DataError, InvalidConfig, NumericError, ShadowPruneError
 from .features import GridConfig, fit_normalizer
 from .fileio import csv_text, write_file
-from .imgcore import load_image, save_pgm
+from .imgcore import save_pgm
 from .pipeline import (
     FeatureTable,
     SplitSpec,
@@ -153,7 +153,7 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def cmd_binarize(args: argparse.Namespace) -> int:
-    binary, result = binarize_pooled(load_image(args.input), _pool_cfg(args))
+    binary, result = binarize_pooled(args.input, _pool_cfg(args))
     save_pgm(args.output, binary, raw=not args.plain)
     print(result.audit_line())
     _note(args, f"wrote {binary.height}x{binary.width} binary image to {args.output}")

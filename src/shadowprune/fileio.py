@@ -1,6 +1,10 @@
 """Every file read and write of the package, and its CSV text.
 
-Filesystem failures raise IoError naming the file.
+Filesystem failures raise IoError naming the file.  Whole files come
+from `read_file`.  Image files are opened as a `FileReader`: the raw
+(P5/P6) raster of a regular file is read by position, block by block,
+into buffers the caller keeps; any other image file is read whole.
+No other module opens, reads or maps a file.
 """
 
 from __future__ import annotations
@@ -50,6 +54,59 @@ def read_file(path: str | Path, what: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+class FileReader:
+    """An open file, read whole or at given offsets; `what` names it in errors.
+
+    `size` is the length of a regular file at opening, and None for a
+    FIFO, device or other file that cannot be read by position.  Reads
+    at an offset may run in several threads at once.
+    """
+
+    def __init__(self, path: str | Path, what: str):
+        self._name = f"{what} {path}"
+        try:
+            self._file = open(path, "rb", buffering=0)
+        except OSError as exc:
+            raise IoError(f"cannot read {self._name}: {exc}") from exc
+        st = os.fstat(self._file.fileno())
+        self.size = st.st_size if stat.S_ISREG(st.st_mode) else None
+
+    def __enter__(self) -> FileReader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
+
+    def read_all(self) -> bytes:
+        """The whole file, read to its end (a FIFO's, until its writer closes it)."""
+        try:
+            return self._file.readall()
+        except OSError as exc:
+            raise IoError(f"cannot read {self._name}: {exc}") from exc
+
+    def read_into(self, buf, offset: int) -> int:
+        """Fill the writable buffer `buf` from `offset` on; the count read.
+
+        Fewer bytes than `buf` holds means the file ended first.
+        """
+        view = memoryview(buf).cast("B")
+        done = 0
+        try:
+            while done < len(view):
+                got = os.preadv(self._file.fileno(), [view[done:]], offset + done)
+                if got == 0:
+                    break
+                done += got
+        except OSError as exc:
+            raise IoError(f"cannot read {self._name}: {exc}") from exc
+        return done
+
+    def read(self, offset: int, n: int) -> bytes:
+        """Up to n bytes from `offset` on; fewer only at the end of the file."""
+        buf = bytearray(n)
+        return bytes(buf[: self.read_into(buf, offset)])
 
 
 def _csv_rows(rows: Iterable[Sequence[str]], lineterminator: str) -> str:

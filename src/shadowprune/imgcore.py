@@ -1,4 +1,4 @@
-"""Image containers, netpbm decoding, and RGB-to-grayscale conversion.
+"""Image containers, netpbm decoding, row sources, and RGB-to-grayscale conversion.
 
 Images are thin wrappers around read-only numpy arrays: RGB as
 (height, width, 3) uint8, grayscale as (height, width) uint8, and binary
@@ -7,25 +7,40 @@ File I/O covers PPM (P3/P6) and PGM (P2/P5) with maxval 255 only; a PGM
 decodes straight to a GrayImage and a PPM to an RgbImage.
 
 Pixels are checked and frozen once, where they enter: in the public
-constructors and in `decode_image`.  Arrays this package computes from
-already-checked images are wrapped as they are, without a copy or a scan.
+constructors, in `decode_image`, and for a raw (P5/P6) regular file read
+by rows, in `_row_source`.  That one checks the file with decode_image's
+own header parser and raster-size and trailing-data checks, before any
+row is read; every byte value of a raw raster is a valid pixel.  Arrays
+this package computes from already-checked images are wrapped as they
+are, without a copy or a scan.
 """
 
 from __future__ import annotations
 
+import re
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import MalformedFile, UnsupportedFormat
-from .fileio import read_file, write_file
+from .fileio import FileReader, read_file, write_file
 
 # Channel weights of the grayscale conversion, in (r, g, b) order.
 GRAY_WEIGHTS = (0.21, 0.72, 0.07)
 
 _WHITESPACE = frozenset(b" \t\r\n\v\f")
+
+# A '#' comment, which runs to the end of its line.
+_COMMENT = re.compile(rb"#[^\r\n]*")
+
+# Bytes first read of a raw file for its header, doubled while the
+# header goes on; and bytes per read of what follows its raster.
+_HEADER_READ = 4096
+_TAIL_READ = 1 << 20
 
 # Pixels per block of the colour grayscale, small enough for the float
 # temporaries to stay in cache.
@@ -34,6 +49,10 @@ _GRAY_CHUNK = 1 << 16
 # The two float64 buffers of the colour grayscale, kept between calls;
 # one pair per thread, as worker threads convert blocks of one photo.
 _FLOAT_BUFFERS = threading.local()
+
+# The raw rows of a block read from disk, one buffer per thread, kept
+# between calls.
+_ROW_BUFFERS = threading.local()
 
 
 def _check_intensity(px: np.ndarray, what: str) -> None:
@@ -127,8 +146,11 @@ def _gray_rows(rgb: np.ndarray, out: np.ndarray) -> None:
 
     The float64 formula runs over blocks of rows through two buffers
     that each thread keeps between calls, with the same operations in
-    the same order on every pixel.
+    the same order on every pixel.  Gray (h, w) pixels are copied.
     """
+    if rgb.ndim == 2:
+        out[...] = rgb
+        return
     wr, wg, wb = GRAY_WEIGHTS
     height, width = out.shape
     step = max(1, _GRAY_CHUNK // max(1, width))
@@ -153,8 +175,16 @@ def _gray_rows(rgb: np.ndarray, out: np.ndarray) -> None:
 # --- netpbm parsing -------------------------------------------------------
 
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Next header token, skipping whitespace and '#' comments."""
+class _ShortHeader(Exception):
+    """The bytes read so far end inside the header of a longer file."""
+
+
+def _next_token(buf: bytes, pos: int, complete: bool) -> tuple[bytes, int]:
+    """Next header token, skipping whitespace and '#' comments.
+
+    `complete` says buf holds the whole file; if not, a scan that
+    reaches its end raises _ShortHeader, as the token may go on.
+    """
     n = len(buf)
     while pos < n:
         c = buf[pos]
@@ -165,21 +195,44 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
                 pos += 1
         else:
             break
-    if pos >= n:
-        raise MalformedFile("unexpected end of file in netpbm header")
     start = pos
     while pos < n and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
         pos += 1
-    return buf[start:pos], pos
+    if pos >= n and not complete:
+        raise _ShortHeader
+    if start >= n:
+        raise MalformedFile("unexpected end of file in netpbm header")
+    return bytes(buf[start:pos]), pos
 
 
-def _parse_header_int(buf: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _next_token(buf, pos)
+def _parse_header_int(buf: bytes, pos: int, what: str, complete: bool) -> tuple[int, int]:
+    token, pos = _next_token(buf, pos, complete)
     try:
         value = int(token)
     except ValueError:
         raise MalformedFile(f"bad {what} token {token!r}") from None
     return value, pos
+
+
+def _parse_header(buf: bytes, complete: bool) -> tuple[bool, int, int, int, int]:
+    """(raw, height, width, channels, end) of the netpbm header starting buf.
+
+    `end` is the offset just past the maxval token.  Unless `complete`,
+    buf is a prefix of the file and _ShortHeader asks for more of it.
+    """
+    if len(buf) < 2:
+        raise MalformedFile("file too short for a netpbm header")
+    magic = bytes(buf[:2])
+    if magic not in (b"P2", b"P3", b"P5", b"P6"):
+        raise UnsupportedFormat(f"unsupported magic {magic!r} (want P2/P3/P5/P6)")
+    width, pos = _parse_header_int(buf, 2, "width", complete)
+    height, pos = _parse_header_int(buf, pos, "height", complete)
+    maxval, pos = _parse_header_int(buf, pos, "maxval", complete)
+    if width < 1 or height < 1:
+        raise MalformedFile(f"non-positive dimensions {width}x{height}")
+    if maxval != 255:
+        raise UnsupportedFormat(f"maxval {maxval} not supported (only 255)")
+    return magic in (b"P5", b"P6"), height, width, 3 if magic in (b"P3", b"P6") else 1, pos
 
 
 def _read_plain_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
@@ -191,41 +244,44 @@ def _read_plain_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
             f"plain raster truncated: {count} samples cannot fit in "
             f"{len(buf) - pos} bytes"
         )
-    values = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        values[i], pos = _parse_header_int(buf, pos, "sample")
-    # Only whitespace or comments may follow the raster.
-    n = len(buf)
-    while pos < n:
-        c = buf[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:
-            while pos < n and buf[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            raise MalformedFile("trailing data after plain raster")
-    if values.size and (values.min() < 0 or values.max() > 255):
+    # A comment ends a token, as whitespace does; split() breaks on the
+    # same six whitespace bytes as the header.
+    tokens = _COMMENT.sub(b" ", bytes(buf[pos:])).split()
+    head = tokens[:count]
+    try:
+        values = np.array(head, dtype=np.int64)  # int() of each token
+    except (ValueError, OverflowError):
+        for token in head:
+            try:
+                int(token)
+            except ValueError:
+                raise MalformedFile(f"bad sample token {token!r}") from None
+        values = None  # every token is an integer, and one overflows int64
+    if len(tokens) < count:
+        raise MalformedFile("unexpected end of file in netpbm header")
+    if len(tokens) > count:
+        raise MalformedFile("trailing data after plain raster")
+    if values is None or (values.size and (values.min() < 0 or values.max() > 255)):
         raise MalformedFile("sample value outside [0, 255]")
     return values.astype(np.uint8)
 
 
-def _read_raw_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
-    if pos >= len(buf) or buf[pos] not in _WHITESPACE:
+def _raw_raster_start(buf: bytes, end: int, size: int, count: int) -> int:
+    """Offset of the raw raster of a `size`-byte file whose header ends at `end`."""
+    if end >= len(buf) or buf[end] not in _WHITESPACE:
         raise MalformedFile("missing whitespace before raw raster")
-    pos += 1  # exactly one separator byte
-    found = len(buf) - pos
+    found = size - end - 1  # exactly one separator byte
     if found < count:
         raise MalformedFile(
             f"raw raster truncated: expected {count} bytes, found {found}"
         )
-    if bytes(buf[pos + count :]).strip(b" \t\r\n\v\f"):
+    return end + 1
+
+
+def _check_raw_tail(tail: bytes) -> None:
+    """Only whitespace may follow a raw raster."""
+    if tail.strip(b" \t\r\n\v\f"):
         raise MalformedFile("trailing data after raw raster")
-    # A view of immutable bytes is read-only and safe to keep; any other
-    # buffer (a bytearray, or a read-only memoryview of one) is copied so
-    # the caller cannot change the pixels.
-    samples = np.frombuffer(buf, dtype=np.uint8, count=count, offset=pos)
-    return samples if isinstance(buf, bytes) else samples.copy()
 
 
 def decode_image(data: bytes) -> RgbImage | GrayImage:
@@ -234,32 +290,92 @@ def decode_image(data: bytes) -> RgbImage | GrayImage:
     Only maxval 255 is accepted.  The pixels of a raw file read from
     immutable `bytes` are a read-only view of `data`, not a copy.
     """
-    if len(data) < 2:
-        raise MalformedFile("file too short for a netpbm header")
-    magic = bytes(data[:2])
-    if magic not in (b"P2", b"P3", b"P5", b"P6"):
-        raise UnsupportedFormat(f"unsupported magic {magic!r} (want P2/P3/P5/P6)")
-    channels = 3 if magic in (b"P3", b"P6") else 1
-    raw = magic in (b"P5", b"P6")
-
-    pos = 2
-    width, pos = _parse_header_int(data, pos, "width")
-    height, pos = _parse_header_int(data, pos, "height")
-    maxval, pos = _parse_header_int(data, pos, "maxval")
-    if width < 1 or height < 1:
-        raise MalformedFile(f"non-positive dimensions {width}x{height}")
-    if maxval != 255:
-        raise UnsupportedFormat(f"maxval {maxval} not supported (only 255)")
-
+    raw, height, width, channels, end = _parse_header(data, complete=True)
     count = width * height * channels
     if raw:
-        samples = _read_raw_samples(data, pos, count)
+        start = _raw_raster_start(data, end, len(data), count)
+        _check_raw_tail(bytes(data[start + count :]))
+        # A view of immutable bytes is read-only and safe to keep; any other
+        # buffer (a bytearray, or a read-only memoryview of one) is copied so
+        # the caller cannot change the pixels.
+        samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
+        if not isinstance(data, bytes):
+            samples = samples.copy()
     else:
-        samples = _read_plain_samples(data, pos, count)
-
+        samples = _read_plain_samples(data, end, count)
     if channels == 3:
         return RgbImage._trusted(samples.reshape(height, width, 3))
     return GrayImage._trusted(samples.reshape(height, width))
+
+
+# --- row sources ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RowSource:
+    """The size and kind of an image, and `rows(top, n)`: its rows top..top+n-1.
+
+    Rows come as a (n, width) or (n, width, 3) uint8 array, valid until
+    the same thread asks for more rows.
+    """
+
+    height: int
+    width: int
+    colour: bool
+    rows: Callable[[int, int], np.ndarray]
+
+
+def _image_rows(img: RgbImage | GrayImage) -> RowSource:
+    return RowSource(img.height, img.width, isinstance(img, RgbImage),
+                     lambda top, n: img.pixels[top : top + n])
+
+
+@contextmanager
+def _row_source(photo: RgbImage | GrayImage | str | Path) -> Iterator[RowSource]:
+    """The rows of a decoded image, or of the image file at a path.
+
+    A raw (P5/P6) regular file is checked as `decode_image` checks it,
+    with the same errors, from its header and its size alone; its rows
+    are then read from disk as they are asked for, so the whole raster
+    is never held.  Any other file is read whole and decoded.  The file
+    stays open until the `with` block ends.
+    """
+    if isinstance(photo, (RgbImage, GrayImage)):
+        yield _image_rows(photo)
+        return
+    with FileReader(photo, "image") as reader:
+        want = _HEADER_READ
+        head = reader.read(0, want) if reader.size is not None else b""
+        if head[:2] not in (b"P5", b"P6"):
+            yield _image_rows(decode_image(reader.read_all()))
+            return
+        while True:
+            try:
+                # A read that comes up short has reached the end of the file.
+                _, height, width, channels, end = _parse_header(head, len(head) < want)
+                break
+            except _ShortHeader:
+                head += reader.read(len(head), want)
+                want *= 2
+        count = height * width * channels
+        start = _raw_raster_start(head, end, reader.size, count)
+        for offset in range(start + count, reader.size, _TAIL_READ):
+            _check_raw_tail(reader.read(offset, _TAIL_READ))
+        row_bytes = width * channels
+        shape = (width, 3) if channels == 3 else (width,)
+
+        def rows(top: int, n: int) -> np.ndarray:
+            size = n * row_bytes
+            buf = getattr(_ROW_BUFFERS, "raw", None)
+            if buf is None or buf.size < size:
+                buf = _ROW_BUFFERS.raw = np.empty(size, dtype=np.uint8)
+            got = reader.read_into(buf[:size], start + top * row_bytes)
+            if got < size:  # the file shrank after its size was taken
+                raise MalformedFile(f"raw raster truncated: expected {count} bytes, "
+                                    f"found {top * row_bytes + got}")
+            return buf[:size].reshape(n, *shape)
+
+        yield RowSource(height, width, channels == 3, rows)
 
 
 def encode_pgm(img: GrayImage, raw: bool = True) -> bytes:

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .features import N_FEATURES, GridConfig, extract_features, fit_normalizer
 from .fileio import csv_text, read_csv, write_file
-from .imgcore import load_image
 from .pooling import PoolConfig, binarize_pooled
 from .svm import (
     SvmModel,
@@ -143,7 +142,7 @@ def extract_point_features(
 ) -> np.ndarray:
     """decode -> gray -> threshold -> optional pool -> features for one photo."""
     try:
-        binary, _ = binarize_pooled(load_image(point.image_path), pool_cfg)
+        binary, _ = binarize_pooled(point.image_path, pool_cfg)
     except DegenerateHistogram as exc:
         raise DegenerateHistogram(f"{exc} (photo_id={point.photo_id})") from exc
     return extract_features(binary, effective_grid(grid_cfg, pool_cfg))

@@ -12,6 +12,12 @@ filters).  `binarize_pooled` therefore pools the gray image and
 thresholds only the pooled pixels; a photo's BinaryImage exists only at
 the pooled size.  Otsu's threshold still comes from the histogram of
 every full-resolution pixel, the ragged edges the pool drops included.
+
+Pixels enter `binarize_pooled` as a decoded image or as the path of an
+image file.  The blocks of a raw (P5/P6) regular file read their own
+rows from disk, so reading overlaps the gray, histogram and pool work
+of other blocks and the raster is never held whole; any other file is
+decoded whole first (see `imgcore._row_source`).
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptyImage, ImageTooSmall
-from .imgcore import BinaryImage, GrayImage, RgbImage, _gray_rows
+from .imgcore import BinaryImage, GrayImage, RgbImage, _gray_rows, _row_source
 from .threshold import Histogram, OtsuResult, _count_levels, binarize, otsu_threshold
 
 if TYPE_CHECKING:
@@ -99,43 +106,42 @@ def _max_pool_rows(src: np.ndarray, p: int, out: np.ndarray) -> None:
 
 
 def binarize_pooled(
-    img: RgbImage | GrayImage, cfg: PoolConfig = PoolConfig()
+    photo: RgbImage | GrayImage | str | Path, cfg: PoolConfig = PoolConfig()
 ) -> tuple[BinaryImage, OtsuResult]:
-    """Gray, Otsu-threshold and pool a decoded photo in one pass.
+    """Gray, Otsu-threshold and pool a photo, or the image file at a path, in one pass.
 
     Equal to pool(binarize(g, t), cfg) with g = to_gray(img) and t the
-    Otsu threshold of histogram(g), and raises what that chain raises,
-    in the same order.  The image is walked in blocks of whole patch
-    rows; each block is converted to gray (colour only), counted into
-    the histogram and max-pooled into its own rows of the pooled array.
+    Otsu threshold of histogram(g), for img the photo or
+    load_image(path), and raises what that chain raises, in the same
+    order.  The image is walked in blocks of whole patch rows; each
+    block is converted to gray (colour only), counted into the
+    histogram and max-pooled into its own rows of the pooled array.
     Neither the full-size gray image of a colour photo nor a full-size
-    binary image is made.  With pooling off, or p=1, the pooled array
-    is the gray image itself.  Blocks of an image with more than one go
-    to one worker thread per core; the output does not depend on it.
+    binary image is made.  The blocks of a raw (P5/P6) regular file are
+    read from disk by the block that needs them; any other file is
+    decoded whole first.  Blocks of an image with more than one go to
+    one worker thread per core; the output does not depend on it.
     """
-    if img.pixel_count == 0:
-        raise EmptyImage("cannot histogram an empty image")
-    p = cfg.p if cfg.enabled else 1
-    src = img.pixels
-    height, width = img.height, img.width
-    colour = isinstance(img, RgbImage)
-    if p == 1 and not colour:
-        pooled = src
-    else:
+    with _row_source(photo) as source:
+        height, width, colour = source.height, source.width, source.colour
+        if height * width == 0:
+            raise EmptyImage("cannot histogram an empty image")
+        p = cfg.p if cfg.enabled else 1
         pooled = np.empty((height // p, width // p), dtype=np.uint8)
-    step = max(1, _BLOCK_PIXELS // (width * p)) * p
+        step = max(1, _BLOCK_PIXELS // (width * p)) * p
 
-    def block(top: int) -> np.ndarray:
-        rows = gray = src[top : top + step]
-        if colour:
-            gray = pooled[top : top + step] if p == 1 else np.empty(rows.shape[:2], np.uint8)
-            _gray_rows(rows, gray)
-        if p > 1:
-            _max_pool_rows(gray, p, pooled[top // p : (top + len(gray)) // p])
-        return _count_levels(gray)
+        def block(top: int) -> np.ndarray:
+            rows = gray = source.rows(top, min(step, height - top))
+            if colour or p == 1:
+                gray = pooled[top : top + step] if p == 1 else np.empty(rows.shape[:2], np.uint8)
+                _gray_rows(rows, gray)
+            if p > 1:
+                _max_pool_rows(gray, p, pooled[top // p : (top + len(gray)) // p])
+            return _count_levels(gray)
 
-    counts = sum(_map_blocks(block, range(0, height, step)))
-    result = otsu_threshold(Histogram(counts, img.pixel_count))
+        # Every block has returned, its file reads done, before the file closes.
+        counts = sum(_map_blocks(block, range(0, height, step)))
+    result = otsu_threshold(Histogram(counts, height * width))
     if pooled.size == 0:
         raise ImageTooSmall(f"{height}x{width} image has no full {p}x{p} patch")
     return binarize(GrayImage._trusted(pooled), result.threshold), result
@@ -160,21 +166,25 @@ if hasattr(os, "register_at_fork"):
 def _map_blocks(work, tops: range) -> list:
     """work(top) for every block; inline unless two threads can share them.
 
-    Workers call only private helpers: the public layer functions may
-    be wrapped by a tracer that is not thread-safe.
+    Returns only once every block has returned, and then raises the
+    first error in block order.  Workers call only private helpers: the
+    public layer functions may be wrapped by a tracer that is not
+    thread-safe.
     """
     global _EXECUTOR, _EXECUTOR_WORKERS
     # os.cpu_count() takes microseconds, a share of a small photo's time.
     workers = _worker_count(os.cpu_count(), len(tops)) if len(tops) > 1 else 1
     if workers == 1:
         return [work(top) for top in tops]
+    from concurrent.futures import ThreadPoolExecutor, wait
+
     with _EXECUTOR_LOCK:
         if workers > _EXECUTOR_WORKERS:
-            from concurrent.futures import ThreadPoolExecutor
-
             # The threads of a replaced pool exit once it is collected,
             # after any call still mapping on it.
             _EXECUTOR = ThreadPoolExecutor(workers, thread_name_prefix="shadowprune-block")
             _EXECUTOR_WORKERS = workers
         executor = _EXECUTOR
-    return list(executor.map(work, tops))
+    futures = [executor.submit(work, top) for top in tops]
+    wait(futures)
+    return [future.result() for future in futures]

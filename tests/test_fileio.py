@@ -12,9 +12,10 @@ import pytest
 
 import shadowprune
 from shadowprune.errors import IoError
-from shadowprune.fileio import write_file
+from shadowprune.fileio import FileReader, write_file
 
-FILE_CALLS = {"open", "write_text", "write_bytes", "read_text", "read_bytes"}
+FILE_CALLS = {"open", "write_text", "write_bytes", "read_text", "read_bytes",
+              "pread", "preadv", "mmap"}
 
 
 def test_failed_rename_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
@@ -96,8 +97,9 @@ def _file_calls(tree: ast.AST) -> list[str]:
 
 def test_guard_sees_every_kind_of_call():
     source = ("open(p)\np.open()\np.write_text(t)\np.write_bytes(b)\n"
-              "p.read_text()\np.read_bytes()\ncsv.reader(f)\ncsv.writer(f)\n")
-    assert len(_file_calls(ast.parse(source))) == 8
+              "p.read_text()\np.read_bytes()\ncsv.reader(f)\ncsv.writer(f)\n"
+              "os.pread(fd, n, 0)\nos.preadv(fd, [b], 0)\nmmap.mmap(fd, 0)\n")
+    assert len(_file_calls(ast.parse(source))) == 11
 
 
 def test_only_fileio_touches_files():
@@ -109,3 +111,18 @@ def test_only_fileio_touches_files():
         and (calls := _file_calls(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert offenders == {}
+
+
+def test_positional_reads_stop_at_the_end_and_name_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "photo.pgm"
+    path.write_bytes(b"P5 1 1 255 \x00")
+    with FileReader(path, "image") as reader:
+        assert reader.size == 12
+        assert reader.read(3, 100) == b"1 1 255 \x00"
+
+        def fail(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "preadv", fail)
+        with pytest.raises(IoError, match=f"cannot read image {path}: .*Input/output error"):
+            reader.read(0, 4)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shadowprune import imgcore
 from shadowprune.errors import IoError, MalformedFile, ShadowPruneError, UnsupportedFormat
 from shadowprune.imgcore import (
     BinaryImage,
@@ -21,6 +24,71 @@ from shadowprune.imgcore import (
 )
 
 from oracles import gray_formula
+
+
+_WHITESPACE = frozenset(b" \t\r\n\v\f")
+
+
+def _reference_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+    """Next token, skipping whitespace and '#' comments, one byte at a time."""
+    n = len(buf)
+    while pos < n:
+        c = buf[pos]
+        if c in _WHITESPACE:
+            pos += 1
+        elif c == 0x23:  # '#'
+            while pos < n and buf[pos] not in (0x0A, 0x0D):
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        raise MalformedFile("unexpected end of file in netpbm header")
+    start = pos
+    while pos < n and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
+        pos += 1
+    return buf[start:pos], pos
+
+
+def reference_plain_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
+    """The plain raster parser that imgcore._read_plain_samples replaced.
+
+    One token per call; a sample beyond int64 escapes as OverflowError.
+    """
+    if count > (len(buf) - pos) // 2:
+        raise MalformedFile(
+            f"plain raster truncated: {count} samples cannot fit in "
+            f"{len(buf) - pos} bytes"
+        )
+    values = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        token, pos = _reference_token(buf, pos)
+        try:
+            values[i] = int(token)
+        except ValueError:
+            raise MalformedFile(f"bad sample token {token!r}") from None
+    n = len(buf)
+    while pos < n:
+        c = buf[pos]
+        if c in _WHITESPACE:
+            pos += 1
+        elif c == 0x23:
+            while pos < n and buf[pos] not in (0x0A, 0x0D):
+                pos += 1
+        else:
+            raise MalformedFile("trailing data after plain raster")
+    if values.size and (values.min() < 0 or values.max() > 255):
+        raise MalformedFile("sample value outside [0, 255]")
+    return values.astype(np.uint8)
+
+
+def decoded(data):
+    """Class, shape and bytes of the decoded image, or the error class and message."""
+    try:
+        img = decode_image(data)
+    except ShadowPruneError as exc:
+        return type(exc), str(exc)
+    assert img.pixels.dtype == np.uint8
+    return type(img), img.pixels.shape, img.pixels.tobytes()
 
 
 def rgb_of(*pixels, shape=None):
@@ -162,6 +230,14 @@ class TestDecode:
         img = decode_image(b"P2\n# a comment\n1 2\n# another\n255\n5\n6\n")
         assert to_gray(img).pixels.tolist() == [[5], [6]]
 
+    def test_plain_samples_are_python_integers(self):
+        # a comment ends a sample; a sign, an underscore and leading zeros
+        # are read as int() reads them; beyond int64 is out of range
+        img = decode_image(b"P2\n5 1\n255\n7#c\n+2 0_1 007 -0")
+        assert img.pixels.tolist() == [[7, 2, 1, 7, 0]]
+        with pytest.raises(MalformedFile, match=r"outside \[0, 255\]"):
+            decode_image(b"P2 1 1 255 99999999999999999999")
+
     def test_pgm_decodes_to_gray(self):
         img = decode_image(b"P2\n2 1\n255\n9 200\n")
         assert isinstance(img, GrayImage)
@@ -198,7 +274,8 @@ class TestDecode:
             st.sampled_from([b"P2", b"P3", b"P5", b"P6"]),
             st.lists(st.sampled_from([b"0", b"1", b"2", b"3", b"-1", b"+2", b"1_0", b"255",
                                       b"256", b"99999999", b"9" * 5000, b"#c\n", b"#",
-                                      b"\xff", b"\x00", b"\v", b"1e3", b"0x1"])
+                                      b"\xff", b"\x00", b"\v", b"1e3", b"0x1",
+                                      b"99999999999999999999", b"7#c", b"0_1", b"007"])
                      | st.binary(max_size=4), max_size=10),
             st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b""]),
             st.binary(max_size=60),
@@ -209,13 +286,21 @@ class TestDecode:
     @example(b"P6 1 1 255\n\x00\x00")
     @example(b"P3 0 1 255 ")
     @example(b"P2 1 1 " + b"9" * 5000)
+    @example(b"P2 3 1 255 7#c\n+2 0_1")
+    @example(b"P2 2 1 255 99999999999999999999 x")
+    @example(b"P2 2 1 255 1 2#c\n#d\r\n")
     @settings(max_examples=300, deadline=None)
     def test_fuzz_only_library_errors_escape(self, data):
-        try:
-            img = decode_image(data)
-        except ShadowPruneError:
-            return
-        assert img.pixels.dtype == np.uint8
+        # The plain raster parser also matches the one it replaced, except
+        # where that one let a sample beyond int64 escape as OverflowError.
+        found = decoded(data)
+        with mock.patch.object(imgcore, "_read_plain_samples", reference_plain_samples):
+            try:
+                expected = decoded(data)
+            except OverflowError:
+                assert found[0] is MalformedFile
+                return
+        assert found == expected
 
     def test_plain_sample_count_bounded_by_body(self):
         # 10^10 samples cannot fit in a two-byte body: rejected before

@@ -1,5 +1,6 @@
 """Patch pooling: the sum-cutoff rule, sizes, max-pool equivalence, and
-the one-pass image path checked against the chain it replaces."""
+the one-pass image path checked against the chain it replaces, on
+decoded images and on image files read by rows."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -15,10 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowprune import pooling
+from shadowprune import imgcore, pooling
+from shadowprune.cli import main
 from shadowprune.errors import ImageTooSmall, ShadowPruneError
 from shadowprune.features import GridConfig, extract_features
-from shadowprune.imgcore import BinaryImage, GrayImage, RgbImage, encode_pgm, encode_ppm, to_gray
+from shadowprune.fileio import FileReader
+from shadowprune.imgcore import (BinaryImage, GrayImage, RgbImage, encode_pgm, encode_ppm,
+                                 load_image, to_gray)
 from shadowprune.pipeline import SamplePoint, extract_point_features
 from shadowprune.pooling import PoolConfig, binarize_pooled, pool
 from shadowprune.threshold import binarize, histogram, otsu_threshold
@@ -211,6 +217,120 @@ class TestOnePassPath:
             found = outcome(binarize_pooled, img, PoolConfig())
             assert found == outcome(reference_path, img, PoolConfig())
             assert isinstance(found[0], type)
+
+
+def decoded_file(path, cfg):
+    """The file decoded whole, then walked as an image: what reading by rows replaces."""
+    return binarize_pooled(load_image(path), cfg)
+
+
+@st.composite
+def raw_files(draw):
+    """P5/P6 bytes, valid or nearly: comments, a header longer than the
+    first read, a missing separator, a short raster, trailing whitespace
+    or data, another maxval, a zero size, odd widths."""
+    colour = draw(st.booleans())
+    h, w = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    levels = draw(st.sampled_from([1, 2, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.integers(0, levels, h * w * (3 if colour else 1)) * (255 // max(1, levels - 1))
+    raster = samples.astype(np.uint8).tobytes()
+    sep = draw(st.sampled_from([b" ", b"\n", b"\r\n", b"\t"]))
+    comment = draw(st.sampled_from([b"", b"# c\n", b"#" + b"x" * 5000 + b"\n"]))
+    maxval = draw(st.sampled_from([b"255", b"255", b"255", b"65535", b"1"]))
+    header = sep.join([b"P6" if colour else b"P5", comment + str(w).encode(), str(h).encode(),
+                       comment + maxval])
+    separator = draw(st.sampled_from([b"\n", b"\n", b" ", b"", b"#"]))
+    cut = draw(st.sampled_from([0, 0, 0, 1, len(raster)]))
+    tail = draw(st.sampled_from([b"", b"", b"\n", b" \n\t\r\v\f", b"x", b"\n\x00"]))
+    return header + separator + raster[: len(raster) - cut] + tail
+
+
+class TestFileSource:
+    @given(raw_files(), st.sampled_from([2, 5, 4096]), st.sampled_from([1, 2, 3, 5]),
+           st.booleans(), st.sampled_from([1, 30, 1 << 18]), st.sampled_from([1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_decoded_file(self, tmp_path_factory, data, header_read, p, enabled,
+                                  block_pixels, workers):
+        # header_read 2 and 5 make every header longer than the first read
+        path = tmp_path_factory.getbasetemp() / "parity.pnm"
+        path.write_bytes(data)
+        cfg = PoolConfig(p=p, enabled=enabled)
+        with fresh_executor(block_pixels, workers), \
+                mock.patch.object(imgcore, "_HEADER_READ", header_read):
+            found = outcome(binarize_pooled, path, cfg)
+        assert found == outcome(decoded_file, path, cfg)
+
+    def test_short_read_raises_first_error_and_closes_last(self, tmp_path, monkeypatch, capsys):
+        # 60 x 50 gray in blocks of 3 rows.  Block 2 comes up short at once,
+        # block 1 later; block 3 is still reading when both have failed.
+        path = tmp_path / "photo.pgm"
+        header = b"P5\n50 60\n255\n"
+        path.write_bytes(header + np.random.default_rng(7).bytes(3000))
+        start = len(header)
+        events = []
+        read_into, close = FileReader.read_into, FileReader.__exit__
+
+        def short_read(reader, buf, offset):
+            k = (offset - start) // 150
+            if offset < start:
+                return read_into(reader, buf, offset)
+            events.append(("start", k))
+            time.sleep({1: 0.2, 3: 0.4}.get(k, 0))
+            view = memoryview(buf).cast("B")
+            got = read_into(reader, view[:-1] if k in (1, 2) else view, offset)
+            events.append(("end", k))
+            return got
+
+        def closing(reader, *exc_info):
+            events.append(("close",))
+            return close(reader, *exc_info)
+
+        monkeypatch.setattr(FileReader, "read_into", short_read)
+        monkeypatch.setattr(FileReader, "__exit__", closing)
+        with fresh_executor(block_pixels=150, workers=2):
+            assert main(["binarize", str(path), str(tmp_path / "out.pgm")]) == 2
+        assert capsys.readouterr().err == (
+            "error: raw raster truncated: expected 3000 bytes, found 299\n")
+        assert events[-1] == ("close",) and events.count(("close",)) == 1
+        started = {e[1] for e in events if e[0] == "start"}
+        assert {1, 2, 3} <= started == {e[1] for e in events if e[0] == "end"}
+        assert not (tmp_path / "out.pgm").exists()
+
+    def test_binarize_reads_a_fifo(self, tmp_path, capsys):
+        px = np.random.default_rng(8).integers(0, 256, (601, 500, 3))
+        data = encode_ppm(RgbImage(px))
+        (tmp_path / "photo.ppm").write_bytes(data)
+        assert main(["binarize", str(tmp_path / "photo.ppm"), str(tmp_path / "file.pgm")]) == 0
+        expected = capsys.readouterr().out
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        assert main(["binarize", str(fifo), str(tmp_path / "fifo.pgm")]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == expected
+        assert (tmp_path / "fifo.pgm").read_bytes() == (tmp_path / "file.pgm").read_bytes()
+
+    def test_raw_file_is_never_held_whole(self, tmp_path):
+        # A 3000 x 4000 P6 is 36 MB.  Two threads' row and float buffers,
+        # the pooled and the binary images stay under 8 MB.
+        path = tmp_path / "field.ppm"
+        rng = np.random.default_rng(9)
+        with path.open("wb") as fh:
+            fh.write(b"P6\n4000 3000\n255\n")
+            for _ in range(10):
+                fh.write(rng.integers(0, 256, (300, 4000, 3), dtype=np.uint8).tobytes())
+        with fresh_executor(workers=2):
+            tracemalloc.start()
+            try:
+                binary, _ = binarize_pooled(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert binary.pixels.shape == (1000, 1333)
+        assert peak < 8 * 2**20
 
 
 class TestThreadCap:
