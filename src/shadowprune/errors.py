@@ -56,13 +56,15 @@ class SingleClassData(DataError):
 class NonConvergence(NumericError):
     """Optimizer hit its iteration cap before reaching tolerance.
 
-    Carries the best iterate so callers can inspect it; it is never
+    Carries the last iterate so callers can inspect it, and the solver's
+    counters (`svm.SolverStats`) as `stats`; the iterate is never
     returned as if training had succeeded.
     """
 
-    def __init__(self, message: str, partial_model=None):
+    def __init__(self, message: str, partial_model=None, stats=None):
         super().__init__(message)
         self.partial_model = partial_model
+        self.stats = stats
 
 
 class IoError(DataError):

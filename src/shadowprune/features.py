@@ -20,7 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstantFeature, EmptyImage, EmptyList, ImageTooSmall, InsufficientData
+from .errors import (
+    ConstantFeature,
+    EmptyImage,
+    EmptyList,
+    ImageTooSmall,
+    InsufficientData,
+    InvalidConfig,
+)
 from .imgcore import BinaryImage
 
 DEFAULT_GRID_EDGE = 100
@@ -37,7 +44,7 @@ class GridConfig:
 
     def __post_init__(self):
         if self.grid_edge < 1:
-            raise ValueError(f"grid_edge must be >= 1, got {self.grid_edge}")
+            raise InvalidConfig(f"grid_edge must be >= 1, got {self.grid_edge}")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,12 @@ _WHITESPACE = frozenset(b" \t\r\n\v\f")
 # A '#' comment, which runs to the end of its line.
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
+# Whitespace and comments before a header token, then the token (group 1).
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\r\n]*)*([^ \t\r\n\v\f#]*)")
+
+# Bytes of a bad header value quoted in an error message.
+_SHOWN = 32
+
 # Bytes first read of a raw file for its header, doubled while the
 # header goes on; and bytes per read of what follows its raster.
 _HEADER_READ = 4096
@@ -186,18 +192,7 @@ def _next_token(buf: bytes, pos: int, complete: bool) -> tuple[bytes, int]:
     reaches its end raises _ShortHeader, as the token may go on.
     """
     n = len(buf)
-    while pos < n:
-        c = buf[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            while pos < n and buf[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
-        pos += 1
+    start, pos = _HEADER_TOKEN.match(buf, pos).span(1)
     if pos >= n and not complete:
         raise _ShortHeader
     if start >= n:
@@ -205,12 +200,18 @@ def _next_token(buf: bytes, pos: int, complete: bool) -> tuple[bytes, int]:
     return bytes(buf[start:pos]), pos
 
 
+def _shown(value: bytes | str) -> str:
+    """A header value for a message: at most its first 32 bytes, then '...'."""
+    text = repr(value[:_SHOWN]) if isinstance(value, bytes) else value[:_SHOWN]
+    return text + "..." if len(value) > _SHOWN else text
+
+
 def _parse_header_int(buf: bytes, pos: int, what: str, complete: bool) -> tuple[int, int]:
     token, pos = _next_token(buf, pos, complete)
     try:
         value = int(token)
     except ValueError:
-        raise MalformedFile(f"bad {what} token {token!r}") from None
+        raise MalformedFile(f"bad {what} token {_shown(token)}") from None
     return value, pos
 
 
@@ -231,7 +232,7 @@ def _parse_header(buf: bytes, complete: bool) -> tuple[bool, int, int, int, int]
     if width < 1 or height < 1:
         raise MalformedFile(f"non-positive dimensions {width}x{height}")
     if maxval != 255:
-        raise UnsupportedFormat(f"maxval {maxval} not supported (only 255)")
+        raise UnsupportedFormat(f"maxval {_shown(str(maxval))} not supported (only 255)")
     return magic in (b"P5", b"P6"), height, width, 3 if magic in (b"P3", b"P6") else 1, pos
 
 

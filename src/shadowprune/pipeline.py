@@ -24,6 +24,7 @@ from .errors import (
     DegenerateHistogram,
     DuplicatePhotoId,
     InsufficientData,
+    InvalidConfig,
     InvalidLabel,
     LabelConflict,
     MalformedFile,
@@ -83,7 +84,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train fraction {self.train_fraction} outside (0, 1)")
+            raise InvalidConfig(f"train fraction {self.train_fraction} outside (0, 1)")
 
 
 def ingest(manifest_path: str | Path) -> list[TreeRecord]:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyImage, ImageTooSmall
+from .errors import EmptyImage, ImageTooSmall, InvalidConfig
 from .imgcore import BinaryImage, GrayImage, RgbImage, _gray_rows, _row_source
 from .threshold import Histogram, OtsuResult, _count_levels, binarize, otsu_threshold
 
@@ -62,7 +62,7 @@ class PoolConfig:
 
     def __post_init__(self):
         if self.p < 1:
-            raise ValueError(f"pool factor must be >= 1, got {self.p}")
+            raise InvalidConfig(f"pool factor must be >= 1, got {self.p}")
 
 
 def pool(img: GrayImage, cfg: PoolConfig = PoolConfig()) -> GrayImage:

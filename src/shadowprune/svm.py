@@ -6,8 +6,11 @@ f(x) = sum_i alpha_i y_i K(x_i, x) − b for the RBF kernel.  Training
 solves the dual by sequential minimal optimization: each step makes the
 exact, clipped two-coefficient update on the pair that LIBSVM's
 second-order working-set selection picks (Fan, Chen & Lin, JMLR 2005),
-and training stops once the KKT gap is within the tolerance.  It draws
-no random numbers, so it is deterministic for fixed data and config.
+and training stops once the KKT gap is within the tolerance.  The
+solver keeps its per-row state between steps and changes only what a
+step's two rows change (see `_Smo`), which gives bit for bit the result
+of rebuilding that state at every step.  It draws no random numbers, so
+it is deterministic for fixed data and config.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from .errors import (
     CorruptModel,
     DimensionMismatch,
+    InvalidConfig,
     NonConvergence,
     NumericError,
     SchemaVersionMismatch,
@@ -85,12 +89,12 @@ class TrainingSet:
         return bool(np.any(self.y > 0) and np.any(self.y < 0))
 
 
-def _require_positive(obj, names: tuple[str, ...]) -> None:
-    """ValueError unless each named field is None or a finite number > 0."""
+def _require_positive(obj, names: tuple[str, ...], error: type[Exception]) -> None:
+    """`error` unless each named field is None or a finite number > 0."""
     for name in names:
         v = getattr(obj, name)
         if v is not None and not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {v}")
+            raise error(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,10 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        _require_positive(self, ("C", "gamma", "tolerance"))
+            raise InvalidConfig(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
+        _require_positive(self, ("C", "gamma", "tolerance"), InvalidConfig)
         if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InvalidConfig("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,8 @@ class SvmModel:
         dc = np.asarray(self.dual_coef, dtype=np.float64)
         if sx.ndim != 2 or dc.shape != (sx.shape[0],):
             raise ValueError("support_x must be (m, d) with one dual coefficient per row")
-        _require_positive(self, ("C", "gamma", "tolerance"))
+        # ValueError, which deserialize_model reports as CorruptModel
+        _require_positive(self, ("C", "gamma", "tolerance"), ValueError)
         arrays = (self.b, sx, dc) if self.w is None else (self.b, sx, dc, self.w)
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError("b, w, support vectors and dual coefficients must be finite")
@@ -229,33 +234,61 @@ def _resolve_gamma(cfg: TrainConfig, x: np.ndarray) -> float | None:
     return 1.0 / (x.shape[1] * var) if var > 0 else 1.0
 
 
-class _Smo:
-    """One training run; holds the mutable solver state.
+@dataclass(frozen=True)
+class SolverStats:
+    """Counters of one SMO run.
 
-    `v` holds y_t − g_t for every row, g_t = sum_s alpha_s y_s K(x_s, x_t)
-    being the decision value without the bias.  The KKT conditions hold
-    for a bias b when −b >= v_t on the rows whose y_t·alpha_t can still
-    grow (`_up`) and −b <= v_t on the rows whose y_t·alpha_t can still
-    shrink (`_low`), so max v over the first set minus min v over the
-    second is the KKT gap that training drives to within the tolerance.
+    steps: pair updates made; kkt_gap: the KKT gap when the run stopped;
+    n_free: rows with 0 < alpha < C in the model built from the run.
+    """
+
+    steps: int
+    kkt_gap: float
+    n_free: int
+
+
+class _Smo:
+    """One training run; holds the mutable solver state between steps.
+
+    Write v_t = y_t − g_t, g_t = sum_s alpha_s y_s K(x_s, x_t) being the
+    decision value without the bias.  The KKT conditions hold for a bias
+    b when −b >= v_t on the "up" rows, whose y_t·alpha_t can still grow,
+    and −b <= v_t on the "low" rows, whose y_t·alpha_t can still shrink,
+    so max v over the first set minus min v over the second is the KKT
+    gap that training drives to within the tolerance.
+
+    A step rebuilds none of its state; it keeps:
+
+    - `v_up`, v on the up rows and −inf elsewhere, and `v_low`, v on the
+      low rows and +inf elsewhere.  Every row is in one set or both, so
+      v itself is not kept.  A step subtracts the same update from both
+      arrays, and ±inf minus a finite number stays ±inf.  Only the step's
+      rows i and j can change sets, so only their entries are reset.
+    - the clipped curvature row of each i picked so far: at most n rows,
+      as many as K itself has.
+    - y and alpha as lists of Python floats, for the scalar work.
+
+    Each kept value comes from the same IEEE-754 double operations, in
+    the same order, as rebuilding the state from alpha at every step, so
+    steps, alphas, KKT gap and model are bit for bit the same as that
+    gives.  This holds while the updates stay finite, as they do unless
+    a product of K and C overflows a double.
     """
 
     def __init__(self, data: TrainingSet, cfg: TrainConfig, gamma: float | None):
-        self.y = data.y
         self.C = cfg.C
         self.tol = cfg.tolerance
         self.K = _kernel_matrix(data.x, cfg.kernel, gamma)
         self.K_diag = np.diagonal(self.K).copy()
-        self.alpha = np.zeros(data.n)
-        self.v = self.y.copy()  # g = 0 everywhere at the start
+        self.y = data.y.tolist()
+        self.alpha = [0.0] * data.n
+        # alpha = 0 and so v = y; the up rows are those with y > 0, the low
+        # rows the others.
+        self.v_up = np.where(data.y > 0.0, data.y, -np.inf)
+        self.v_low = np.where(data.y > 0.0, np.inf, data.y)
+        self._curv: dict[int, np.ndarray] = {}
         self.kkt_gap = math.inf
         self.steps = 0
-
-    def _up(self) -> np.ndarray:
-        return np.where(self.y > 0.0, self.alpha < self.C, self.alpha > 0.0)
-
-    def _low(self) -> np.ndarray:
-        return np.where(self.y > 0.0, self.alpha > 0.0, self.alpha < self.C)
 
     def _snap(self, a: float) -> float:
         if a < _BOUND_EPS * self.C:
@@ -263,6 +296,13 @@ class _Smo:
         if a > (1.0 - _BOUND_EPS) * self.C:
             return self.C
         return a
+
+    def _place(self, k: int, v: float) -> None:
+        """Enter v_k into v_up and v_low after row k's alpha changed."""
+        a, C = self.alpha[k], self.C
+        up, low = (a < C, a > 0.0) if self.y[k] > 0.0 else (a > 0.0, a < C)
+        self.v_up[k] = v if up else -math.inf
+        self.v_low[k] = v if low else math.inf
 
     def select_pair(self) -> tuple[int, int, float, float] | None:
         """(i, j, gap, curvature) of the next step, or None at tolerance.
@@ -273,15 +313,17 @@ class _Smo:
         feasible direction the objective falls at rate gap and curves by
         K_ii + K_jj − 2K_ij.  Records the KKT gap in `kkt_gap`.
         """
-        v_up = np.where(self._up(), self.v, -np.inf)
-        i = int(np.argmax(v_up))
-        gap = v_up[i] - np.where(self._low(), self.v, np.inf)
-        self.kkt_gap = float(gap.max())
+        i = int(self.v_up.argmax())
+        gap = self.v_up[i] - self.v_low
+        # gap's max, by argmax: it is the same value and a cheaper call.
+        self.kkt_gap = float(gap[gap.argmax()])
         if self.kkt_gap <= self.tol:
             return None
-        curv = self.K_diag[i] + self.K_diag - 2.0 * self.K[i]
-        curv = np.where(curv > 0.0, curv, _TAU)
-        j = int(np.argmax(np.where(gap > 0.0, gap * gap / curv, -1.0)))
+        curv = self._curv.get(i)
+        if curv is None:
+            curv = self.K_diag[i] + self.K_diag - 2.0 * self.K[i]
+            curv = self._curv[i] = np.where(curv > 0.0, curv, _TAU)
+        j = int(np.where(gap > 0.0, gap * gap / curv, -1.0).argmax())
         return i, j, float(gap[j]), float(curv[j])
 
     def take_step(self, i: int, j: int, gap: float, curv: float) -> None:
@@ -295,11 +337,19 @@ class _Smo:
         room_i = self.C - ai if yi > 0.0 else ai
         room_j = aj if yj > 0.0 else self.C - aj
         t = min(gap / curv, room_i, room_j)
-        self.alpha[i] = self._snap(ai + yi * t)
-        self.alpha[j] = self._snap(aj - yj * t)
-        self.v -= (yi * (self.alpha[i] - ai)) * self.K[i] \
-            + (yj * (self.alpha[j] - aj)) * self.K[j]
+        self.alpha[i] = new_i = self._snap(ai + yi * t)
+        self.alpha[j] = new_j = self._snap(aj - yj * t)
+        d = (yi * (new_i - ai)) * self.K[i] + (yj * (new_j - aj)) * self.K[j]
+        self.v_up -= d
+        self.v_low -= d
+        # i was an up row and j a low row, so these entries hold their new v.
+        vi, vj = float(self.v_up[i]), float(self.v_low[j])
+        self._place(i, vi)
+        self._place(j, vj)
         self.steps += 1
+
+    def alphas(self) -> np.ndarray:
+        return np.array(self.alpha)
 
     def bias(self) -> float:
         """b from KKT at the current alphas, by LIBSVM's rule.
@@ -308,17 +358,20 @@ class _Smo:
         of the interval that the rows at a bound leave open.  v is
         recomputed here, so the incremental updates leave no drift in b.
         """
-        v = self.y - (self.alpha * self.y) @ self.K
-        free = (self.alpha > 0.0) & (self.alpha < self.C)
+        y, alpha, C = np.array(self.y), self.alphas(), self.C
+        v = y - (alpha * y) @ self.K
+        free = (alpha > 0.0) & (alpha < C)
         if free.any():
             return -float(np.mean(v[free]))
-        return -0.5 * (float(v[self._up()].max()) + float(v[self._low()].min()))
+        up = np.where(y > 0.0, alpha < C, alpha > 0.0)
+        low = np.where(y > 0.0, alpha > 0.0, alpha < C)
+        return -0.5 * (float(v[up].max()) + float(v[low].min()))
 
 
 def _build_model(
     smo: _Smo, data: TrainingSet, cfg: TrainConfig, gamma: float | None
 ) -> SvmModel:
-    alpha = smo.alpha.copy()
+    alpha = smo.alphas()
     alpha[alpha < _ALPHA_FLOOR] = 0.0
     sv = np.flatnonzero(alpha > 0.0)
     w = None
@@ -346,8 +399,8 @@ def train(data: TrainingSet, cfg: TrainConfig = TrainConfig()) -> SvmModel:
     Rows are expected in model space already (the pipeline normalizes
     before calling).  cfg.max_iterations caps the number of steps
     (default 10 * n * 1000).  Raises SingleClassData when only one label
-    is present and NonConvergence, carrying the last iterate, when the
-    step budget runs out first.
+    is present and NonConvergence, carrying the last iterate and its
+    SolverStats, when the step budget runs out first.
     """
     if not data.has_both_labels:
         raise SingleClassData("training requires at least one row of each class")
@@ -356,10 +409,14 @@ def train(data: TrainingSet, cfg: TrainConfig = TrainConfig()) -> SvmModel:
     smo = _Smo(data, cfg, gamma)
     while (pair := smo.select_pair()) is not None:
         if smo.steps >= budget:
+            partial = _build_model(smo, data, cfg, gamma)
+            # every support row has alpha > 0
+            n_free = int(np.count_nonzero(np.abs(partial.dual_coef) < cfg.C))
             raise NonConvergence(
                 f"SMO used its budget of {budget} steps with KKT gap "
                 f"{smo.kkt_gap:.3g} above tolerance {cfg.tolerance}",
-                partial_model=_build_model(smo, data, cfg, gamma),
+                partial_model=partial,
+                stats=SolverStats(smo.steps, smo.kkt_gap, n_free),
             )
         smo.take_step(*pair)
     return _build_model(smo, data, cfg, gamma)

@@ -54,6 +54,23 @@ class TestExitCodes:
         img.write_bytes(encode_pgm(GrayImage(np.full((20, 20), 99, dtype=np.uint8))))
         assert main(["binarize", str(img), str(tmp_path / "o.pgm")]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "{manifest}", "{out}/f.csv", "--grid", "0"],
+        ["extract", "{manifest}", "{out}/f.csv", "--pool-factor", "0"],
+        ["evaluate", "{manifest}", "--train-fraction", "1.5"],
+        ["evaluate", "{manifest}", "--c", "0"],
+        ["train", "{out}/f.csv", "{out}/m.model", "--tol", "-1"],
+        ["train", "{out}/f.csv", "{out}/m.model", "--max-iter", "0"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_invalid_config_is_usage_error(self, argv, dataset, tmp_path, capsys):
+        manifest = str(dataset / "manifest.csv")
+        if argv[0] == "train":
+            assert main(["extract", manifest, str(tmp_path / "f.csv")]) == 0
+            capsys.readouterr()
+        assert main([a.format(manifest=manifest, out=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+
     def test_invalid_coverage_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["synth", "--out", str(tmp_path / "d"), "--coverage-good", "1.5"]

@@ -13,6 +13,7 @@ from shadowprune.errors import (
     EmptyList,
     ImageTooSmall,
     InsufficientData,
+    InvalidConfig,
 )
 from shadowprune.features import (
     GridConfig,
@@ -75,6 +76,11 @@ class TestGridCounts:
     def test_too_small(self):
         with pytest.raises(ImageTooSmall):
             grid_white_counts(solid(99, 200, 0), GridConfig(100))
+
+    @pytest.mark.parametrize("edge", [0, -3])
+    def test_invalid_edge(self, edge):
+        with pytest.raises(InvalidConfig):
+            GridConfig(edge)
 
 
 class TestUniformity:

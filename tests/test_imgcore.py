@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowprune import imgcore
+from shadowprune.cli import main
 from shadowprune.errors import IoError, MalformedFile, ShadowPruneError, UnsupportedFormat
 from shadowprune.imgcore import (
     BinaryImage,
@@ -47,6 +48,28 @@ def _reference_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
         pos += 1
     return buf[start:pos], pos
+
+
+def reference_next_token(buf: bytes, pos: int, complete: bool) -> tuple[bytes, int]:
+    """imgcore._next_token as it was, scanning one byte at a time."""
+    n = len(buf)
+    while pos < n:
+        c = buf[pos]
+        if c in _WHITESPACE:
+            pos += 1
+        elif c == 0x23:  # '#'
+            while pos < n and buf[pos] not in (0x0A, 0x0D):
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and buf[pos] not in _WHITESPACE and buf[pos] != 0x23:
+        pos += 1
+    if pos >= n and not complete:
+        raise imgcore._ShortHeader
+    if start >= n:
+        raise MalformedFile("unexpected end of file in netpbm header")
+    return bytes(buf[start:pos]), pos
 
 
 def reference_plain_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
@@ -301,6 +324,38 @@ class TestDecode:
                 assert found[0] is MalformedFile
                 return
         assert found == expected
+
+    @given(st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\v", b"\f", b"#", b"#c\n",
+                                     b"#\r", b"1", b"255", b"x", b"\x00", b"\xff"])
+                    | st.binary(max_size=3), max_size=12).map(b"".join),
+           st.integers(0, 40), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_header_token_matches_byte_scan(self, buf, pos, complete):
+        pos = min(pos, len(buf))
+
+        def outcome(scan):
+            try:
+                return scan(buf, pos, complete)
+            except (MalformedFile, imgcore._ShortHeader) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(imgcore._next_token) == outcome(reference_next_token)
+
+    @pytest.mark.parametrize("head,tail,message", [
+        # a maxval that runs into a 12-MP raster of ASCII digits
+        (b"P5\n4000 3000\n255", b"7" * 12_000_000,
+         "error: bad maxval token b'255" + "7" * 29 + "'...\n"),
+        # a maxval that int() reads, too long to quote whole
+        (b"P5\n1 1\n" + b"9" * 4000, b"\n\x00",
+         "error: maxval " + "9" * 32 + "... not supported (only 255)\n"),
+    ], ids=["digit-raster", "4000-digit-maxval"])
+    def test_long_header_token_is_quoted_short(self, head, tail, message, tmp_path, capsys):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(head + tail)
+        assert main(["binarize", str(path), str(tmp_path / "out.pgm")]) == 2
+        err = capsys.readouterr().err
+        assert err == message
+        assert len(err.encode()) < 200
 
     def test_plain_sample_count_bounded_by_body(self):
         # 10^10 samples cannot fit in a two-byte body: rejected before

@@ -13,6 +13,7 @@ from shadowprune.errors import (
     DegenerateHistogram,
     DuplicatePhotoId,
     InsufficientData,
+    InvalidConfig,
     InvalidLabel,
     LabelConflict,
     MalformedFile,
@@ -296,6 +297,11 @@ class TestSplit:
     def test_tiny_class_rejected(self):
         with pytest.raises(InsufficientData):
             split(self.records(5, 1), SplitSpec(0.6))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan")])
+    def test_invalid_fraction(self, fraction):
+        with pytest.raises(InvalidConfig):
+            SplitSpec(fraction)
 
     @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.95])
     def test_each_class_on_each_side(self, fraction):

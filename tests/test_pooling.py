@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from shadowprune import imgcore, pooling
 from shadowprune.cli import main
-from shadowprune.errors import ImageTooSmall, ShadowPruneError
+from shadowprune.errors import ImageTooSmall, InvalidConfig, ShadowPruneError
 from shadowprune.features import GridConfig, extract_features
 from shadowprune.fileio import FileReader
 from shadowprune.imgcore import (BinaryImage, GrayImage, RgbImage, encode_pgm, encode_ppm,
@@ -73,7 +73,7 @@ class TestPatchRule:
             pool(binary(np.zeros((2, 9))), PoolConfig(p=3))
 
     def test_invalid_factor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             PoolConfig(p=0)
 
 

@@ -1,25 +1,32 @@
-"""SMO solver: toy geometries, oracle agreement, KKT, persistence."""
+"""SMO solver: toy geometries, oracle agreement, KKT, the kept solver
+state checked against a loop that rebuilds it, persistence."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shadowprune import svm
 from shadowprune.errors import (
     CorruptModel,
     DimensionMismatch,
+    InvalidConfig,
     IoError,
     NonConvergence,
+    NumericError,
     SchemaVersionMismatch,
     ShadowPruneError,
     SingleClassData,
 )
 from shadowprune.features import Normalizer
 from shadowprune.svm import (
+    SolverStats,
     SvmModel,
     TrainConfig,
     TrainingSet,
@@ -275,21 +282,220 @@ class TestConvergenceBudget:
             train(TrainingSet(x, y), cfg)
         assert isinstance(err.value.partial_model, SvmModel)
 
+    @pytest.mark.parametrize("kernel,c,budget", [
+        ("linear", 1e6, 10), ("linear", 0.05, 10), ("rbf", 10.0, 20), ("rbf", 1e6, 1),
+    ])
+    def test_stats_of_a_capped_run(self, kernel, c, budget):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(30, 2))
+        y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        cfg = TrainConfig(kernel=kernel, C=c, max_iterations=budget)
+        with pytest.raises(NonConvergence) as err:
+            train(TrainingSet(x, y), cfg)
+        stats, partial = err.value.stats, err.value.partial_model
+        assert isinstance(stats, SolverStats)
+        assert stats.steps == budget
+        assert stats.kkt_gap > cfg.tolerance
+        coef = np.abs(partial.dual_coef)
+        assert stats.n_free == int(np.count_nonzero((coef > 0.0) & (coef < c)))
+        # the counters stay out of the message and the model file
+        assert str(err.value) == (f"SMO used its budget of {budget} steps with KKT gap "
+                                  f"{stats.kkt_gap:.3g} above tolerance {cfg.tolerance}")
+        assert not any(ln.split(" ", 1)[0] in ("steps", "kkt_gap", "n_free")
+                       for ln in serialize_model(partial).splitlines())
+
+    def test_stats_are_frozen(self):
+        stats = SolverStats(steps=3, kkt_gap=0.5, n_free=1)
+        with pytest.raises(AttributeError):
+            stats.steps = 4
+
+
+class ReferenceSmo:
+    """The solver as it was before it kept its state between steps.
+
+    Every step rebuilds the _up/_low masks, v over each set and the
+    clipped curvature row from alpha and v, in numpy scalars.  It offers
+    the `alphas()` and `bias()` that svm._build_model reads.
+    """
+
+    def __init__(self, data, cfg, gamma):
+        self.y = data.y
+        self.C = cfg.C
+        self.tol = cfg.tolerance
+        self.K = svm._kernel_matrix(data.x, cfg.kernel, gamma)
+        self.K_diag = np.diagonal(self.K).copy()
+        self.alpha = np.zeros(data.n)
+        self.v = self.y.copy()
+        self.kkt_gap = math.inf
+        self.steps = 0
+
+    def _up(self):
+        return np.where(self.y > 0.0, self.alpha < self.C, self.alpha > 0.0)
+
+    def _low(self):
+        return np.where(self.y > 0.0, self.alpha > 0.0, self.alpha < self.C)
+
+    def _snap(self, a):
+        if a < svm._BOUND_EPS * self.C:
+            return 0.0
+        if a > (1.0 - svm._BOUND_EPS) * self.C:
+            return self.C
+        return a
+
+    def select_pair(self):
+        v_up = np.where(self._up(), self.v, -np.inf)
+        i = int(np.argmax(v_up))
+        gap = v_up[i] - np.where(self._low(), self.v, np.inf)
+        self.kkt_gap = float(gap.max())
+        if self.kkt_gap <= self.tol:
+            return None
+        curv = self.K_diag[i] + self.K_diag - 2.0 * self.K[i]
+        curv = np.where(curv > 0.0, curv, svm._TAU)
+        j = int(np.argmax(np.where(gap > 0.0, gap * gap / curv, -1.0)))
+        return i, j, float(gap[j]), float(curv[j])
+
+    def take_step(self, i, j, gap, curv):
+        yi, yj = self.y[i], self.y[j]
+        ai, aj = self.alpha[i], self.alpha[j]
+        room_i = self.C - ai if yi > 0.0 else ai
+        room_j = aj if yj > 0.0 else self.C - aj
+        t = min(gap / curv, room_i, room_j)
+        self.alpha[i] = self._snap(ai + yi * t)
+        self.alpha[j] = self._snap(aj - yj * t)
+        self.v -= (yi * (self.alpha[i] - ai)) * self.K[i] \
+            + (yj * (self.alpha[j] - aj)) * self.K[j]
+        self.steps += 1
+
+    def alphas(self):
+        return self.alpha.copy()
+
+    def bias(self):
+        v = self.y - (self.alpha * self.y) @ self.K
+        free = (self.alpha > 0.0) & (self.alpha < self.C)
+        if free.any():
+            return -float(np.mean(v[free]))
+        return -0.5 * (float(v[self._up()].max()) + float(v[self._low()].min()))
+
+
+def reference_train(data, cfg):
+    """(model, steps, kkt_gap) of train's loop on ReferenceSmo.
+
+    A budget that runs out raises NonConvergence with train's message,
+    the partial model and SolverStats, n_free counted from the alphas.
+    """
+    gamma = svm._resolve_gamma(cfg, data.x)
+    budget = cfg.max_iterations if cfg.max_iterations is not None else 10 * data.n * 1000
+    smo = ReferenceSmo(data, cfg, gamma)
+    while (pair := smo.select_pair()) is not None:
+        if smo.steps >= budget:
+            alpha = np.where(smo.alpha < svm._ALPHA_FLOOR, 0.0, smo.alpha)
+            n_free = int(np.count_nonzero((alpha > 0.0) & (alpha < cfg.C)))
+            raise NonConvergence(
+                f"SMO used its budget of {budget} steps with KKT gap "
+                f"{smo.kkt_gap:.3g} above tolerance {cfg.tolerance}",
+                partial_model=svm._build_model(smo, data, cfg, gamma),
+                stats=SolverStats(smo.steps, smo.kkt_gap, n_free),
+            )
+        smo.take_step(*pair)
+    return svm._build_model(smo, data, cfg, gamma), smo.steps, smo.kkt_gap
+
+
+def kept_state_train(data, cfg):
+    """(model, steps, kkt_gap) of svm.train, read from its _Smo."""
+    runs = []
+
+    class Watched(svm._Smo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    with mock.patch.object(svm, "_Smo", Watched):
+        model = train(data, cfg)
+    return model, runs[0].steps, runs[0].kkt_gap
+
+
+def solver_outcome(run, data, cfg):
+    """Model text, steps and KKT gap, or the error with what it carries."""
+    try:
+        model, steps, gap = run(data, cfg)
+    except NonConvergence as exc:
+        return (str(exc), serialize_model(exc.partial_model), exc.stats)
+    except NumericError as exc:
+        return type(exc), str(exc)
+    return serialize_model(model), steps, gap
+
+
+@st.composite
+def solver_problems(draw):
+    """Training sets of 2-60 rows in 1-3 dimensions, drawn from fewer
+    distinct rows so that duplicates occur, on a coarse grid (argmax
+    ties) or of arbitrary finite values."""
+    n, d = draw(st.integers(2, 60)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        values = st.integers(-8, 8).map(lambda k: k / 4.0)
+    else:
+        values = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=k, max_size=k))
+    picks = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k,
+                                           max_size=n - k))
+    y = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    if len(set(y)) == 1:
+        y[draw(st.integers(0, n - 1))] = -y[0]
+    return TrainingSet(np.array([rows[k] for k in picks]), np.array(y))
+
+
+class TestKeptSolverState:
+    @given(solver_problems(), st.sampled_from(["linear", "rbf"]),
+           st.sampled_from([1e-3, 1.0, 1e6]), st.sampled_from([None, 0.5, 20.0]),
+           st.sampled_from([1e-4, 1e-7]), st.integers(1, 400))
+    @settings(max_examples=150, deadline=None)
+    @example(TrainingSet(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([1.0, -1.0, 1.0, -1.0])),
+             "linear", 1.0, None, 1e-4, 400)
+    @example(TrainingSet(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+                         np.array([1.0, 1.0, -1.0, -1.0])), "rbf", 1e6, None, 1e-7, 3)
+    def test_matches_the_rebuilding_loop(self, data, kernel, c, gamma, tol, budget):
+        cfg = TrainConfig(kernel=kernel, C=c, gamma=gamma if kernel == "rbf" else None,
+                          tolerance=tol, max_iterations=budget)
+        assert (solver_outcome(kept_state_train, data, cfg)
+                == solver_outcome(reference_train, data, cfg))
+
+    def test_curvature_cache_holds_one_row_per_picked_row(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 2))
+        y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        data, cfg = TrainingSet(x, y), TrainConfig(kernel="rbf", C=10.0)
+        smo = svm._Smo(data, cfg, svm._resolve_gamma(cfg, data.x))
+        picked = set()
+        while (pair := smo.select_pair()) is not None:
+            picked.add(pair[0])
+            smo.take_step(*pair)
+        assert set(smo._curv) == picked
+        assert len(picked) <= data.n
+
 
 class TestConfigValidation:
     def test_bad_kernel(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(kernel="poly")
 
     def test_bad_c(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(C=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(C=float("inf"))
 
     def test_bad_gamma(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TrainConfig(kernel="rbf", gamma=-1.0)
+
+    @pytest.mark.parametrize("field,value", [("tolerance", 0.0), ("tolerance", float("nan")),
+                                             ("max_iterations", 0)])
+    def test_bad_tolerance_and_budget(self, field, value):
+        with pytest.raises(InvalidConfig):
+            TrainConfig(**{field: value})
 
     def test_labels_must_be_pm_one(self):
         with pytest.raises(ValueError):
