@@ -13,12 +13,14 @@ own header parser and raster-size and trailing-data checks, before any
 row is read; every byte value of a raw raster is a valid pixel.  Arrays
 this package computes from already-checked images are wrapped as they
 are, without a copy or a scan.
+
+Nothing here is kept between calls: each conversion and each read of
+rows allocates its own buffers, so any thread may call any function.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,14 +53,6 @@ _TAIL_READ = 1 << 20
 # Pixels per block of the colour grayscale, small enough for the float
 # temporaries to stay in cache.
 _GRAY_CHUNK = 1 << 16
-
-# The two float64 buffers of the colour grayscale, kept between calls;
-# one pair per thread, as worker threads convert blocks of one photo.
-_FLOAT_BUFFERS = threading.local()
-
-# The raw rows of a block read from disk, one buffer per thread, kept
-# between calls.
-_ROW_BUFFERS = threading.local()
 
 
 def _check_intensity(px: np.ndarray, what: str) -> None:
@@ -151,8 +145,8 @@ def _gray_rows(rgb: np.ndarray, out: np.ndarray) -> None:
     """Write the grayscale of (h, w, 3) pixels into the (h, w) uint8 `out`.
 
     The float64 formula runs over blocks of rows through two buffers
-    that each thread keeps between calls, with the same operations in
-    the same order on every pixel.  Gray (h, w) pixels are copied.
+    made for this call, with the same operations in the same order on
+    every pixel.  Gray (h, w) pixels are copied.
     """
     if rgb.ndim == 2:
         out[...] = rgb
@@ -161,9 +155,7 @@ def _gray_rows(rgb: np.ndarray, out: np.ndarray) -> None:
     height, width = out.shape
     step = max(1, _GRAY_CHUNK // max(1, width))
     size = min(step, height) * width
-    buffers = getattr(_FLOAT_BUFFERS, "pair", None)
-    if buffers is None or buffers[0].size < size:
-        buffers = _FLOAT_BUFFERS.pair = (np.empty(size), np.empty(size))
+    buffers = np.empty(size), np.empty(size)
     for top in range(0, height, step):
         block = rgb[top : top + step]
         shape = block.shape[:2]
@@ -242,7 +234,7 @@ def _read_plain_samples(buf: bytes, pos: int, count: int) -> np.ndarray:
     # anything is allocated from it.
     if count > (len(buf) - pos) // 2:
         raise MalformedFile(
-            f"plain raster truncated: {count} samples cannot fit in "
+            f"plain raster truncated: {_shown(str(count))} samples cannot fit in "
             f"{len(buf) - pos} bytes"
         )
     # A comment ends a token, as whitespace does; split() breaks on the
@@ -274,7 +266,7 @@ def _raw_raster_start(buf: bytes, end: int, size: int, count: int) -> int:
     found = size - end - 1  # exactly one separator byte
     if found < count:
         raise MalformedFile(
-            f"raw raster truncated: expected {count} bytes, found {found}"
+            f"raw raster truncated: expected {_shown(str(count))} bytes, found {found}"
         )
     return end + 1
 
@@ -316,8 +308,8 @@ def decode_image(data: bytes) -> RgbImage | GrayImage:
 class RowSource:
     """The size and kind of an image, and `rows(top, n)`: its rows top..top+n-1.
 
-    Rows come as a (n, width) or (n, width, 3) uint8 array, valid until
-    the same thread asks for more rows.
+    Rows come as a (n, width) or (n, width, 3) uint8 array that may be a
+    read-only view of the image.
     """
 
     height: int
@@ -367,14 +359,12 @@ def _row_source(photo: RgbImage | GrayImage | str | Path) -> Iterator[RowSource]
 
         def rows(top: int, n: int) -> np.ndarray:
             size = n * row_bytes
-            buf = getattr(_ROW_BUFFERS, "raw", None)
-            if buf is None or buf.size < size:
-                buf = _ROW_BUFFERS.raw = np.empty(size, dtype=np.uint8)
-            got = reader.read_into(buf[:size], start + top * row_bytes)
+            buf = np.empty(size, dtype=np.uint8)
+            got = reader.read_into(buf, start + top * row_bytes)
             if got < size:  # the file shrank after its size was taken
-                raise MalformedFile(f"raw raster truncated: expected {count} bytes, "
-                                    f"found {top * row_bytes + got}")
-            return buf[:size].reshape(n, *shape)
+                raise MalformedFile(f"raw raster truncated: expected {_shown(str(count))} "
+                                    f"bytes, found {top * row_bytes + got}")
+            return buf.reshape(n, *shape)
 
         yield RowSource(height, width, channels == 3, rows)
 

@@ -17,16 +17,16 @@ Pixels enter `binarize_pooled` as a decoded image or as the path of an
 image file.  The blocks of a raw (P5/P6) regular file read their own
 rows from disk, so reading overlaps the gray, histogram and pool work
 of other blocks and the raster is never held whole; any other file is
-decoded whole first (see `imgcore._row_source`).
+decoded whole first (see `imgcore._row_source`).  The blocks of a
+photo with more than one share a pool of threads that lives for that
+photo alone; no thread, buffer or lock persists between calls.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,23 +34,12 @@ from .errors import EmptyImage, ImageTooSmall, InvalidConfig
 from .imgcore import BinaryImage, GrayImage, RgbImage, _gray_rows, _row_source
 from .threshold import Histogram, OtsuResult, _count_levels, binarize, otsu_threshold
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
 DEFAULT_POOL_FACTOR = 3
 
 # Pixels per row block of `binarize_pooled`.  Smaller blocks make worker
 # threads queue on the GIL between numpy calls; larger ones fall out of
 # the per-core cache.
 _BLOCK_PIXELS = 1 << 18
-
-# Worker threads for images of more than one block, made on first use
-# and replaced only by a larger pool.  concurrent.futures is imported
-# only then: it costs about 4 ms and 0.6 MB, which runs on small photos
-# alone would not get back.
-_EXECUTOR: ThreadPoolExecutor | None = None
-_EXECUTOR_WORKERS = 0
-_EXECUTOR_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,8 @@ def binarize_pooled(
     binary image is made.  The blocks of a raw (P5/P6) regular file are
     read from disk by the block that needs them; any other file is
     decoded whole first.  Blocks of an image with more than one go to
-    one worker thread per core; the output does not depend on it.
+    at most one worker thread per core, started for this call and
+    joined before it returns; the output does not depend on them.
     """
     with _row_source(photo) as source:
         height, width, colour = source.height, source.width, source.colour
@@ -152,39 +142,23 @@ def _worker_count(cpu_count: int | None, n_blocks: int) -> int:
     return max(1, min(cpu_count or 1, n_blocks))
 
 
-def _forget_executor() -> None:
-    """In a forked child, drop the executor, whose threads stay behind,
-    and the lock, which another thread may have held at the fork."""
-    global _EXECUTOR, _EXECUTOR_WORKERS, _EXECUTOR_LOCK
-    _EXECUTOR, _EXECUTOR_WORKERS, _EXECUTOR_LOCK = None, 0, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
-
-
 def _map_blocks(work, tops: range) -> list:
     """work(top) for every block; inline unless two threads can share them.
 
-    Returns only once every block has returned, and then raises the
-    first error in block order.  Workers call only private helpers: the
-    public layer functions may be wrapped by a tracer that is not
-    thread-safe.
+    The threads live for this one call: leaving the pool's `with` block
+    joins them once every block has returned, and only then is the
+    first error raised, in block order.  Workers call only private
+    helpers: the public layer functions may be wrapped by a tracer that
+    is not thread-safe.
     """
-    global _EXECUTOR, _EXECUTOR_WORKERS
     # os.cpu_count() takes microseconds, a share of a small photo's time.
     workers = _worker_count(os.cpu_count(), len(tops)) if len(tops) > 1 else 1
     if workers == 1:
         return [work(top) for top in tops]
-    from concurrent.futures import ThreadPoolExecutor, wait
+    # Imported only here: it costs about 4 ms and 0.6 MB, which runs on
+    # small photos alone would not get back.
+    from concurrent.futures import ThreadPoolExecutor
 
-    with _EXECUTOR_LOCK:
-        if workers > _EXECUTOR_WORKERS:
-            # The threads of a replaced pool exit once it is collected,
-            # after any call still mapping on it.
-            _EXECUTOR = ThreadPoolExecutor(workers, thread_name_prefix="shadowprune-block")
-            _EXECUTOR_WORKERS = workers
-        executor = _EXECUTOR
-    futures = [executor.submit(work, top) for top in tops]
-    wait(futures)
+    with ThreadPoolExecutor(workers, thread_name_prefix="shadowprune-block") as executor:
+        futures = [executor.submit(work, top) for top in tops]
     return [future.result() for future in futures]

@@ -231,7 +231,10 @@ def _resolve_gamma(cfg: TrainConfig, x: np.ndarray) -> float | None:
     if cfg.gamma is not None:
         return cfg.gamma
     var = float(x.var())
-    return 1.0 / (x.shape[1] * var) if var > 0 else 1.0
+    gamma = 1.0 / (x.shape[1] * var) if var > 0 else 1.0
+    if not math.isfinite(gamma):
+        raise NumericError(f"feature variance {var:.3g} is too small for a finite rbf gamma")
+    return gamma
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,44 @@ def test_only_fileio_touches_files():
     assert offenders == {}
 
 
+def _process_state(tree: ast.AST) -> list[str]:
+    """The ways a parsed module keeps state for the whole process: global
+    statements, thread-local storage and fork hooks."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append("global")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "register_at_fork":
+                found.append(name)
+            elif name == "local" and (isinstance(func, ast.Name) or (
+                    isinstance(func.value, ast.Name) and func.value.id == "threading")):
+                found.append("threading.local")
+    return found
+
+
+def test_state_guard_sees_every_kind():
+    source = ("def f():\n    global x\n"
+              "threading.local()\nlocal()\n"
+              "os.register_at_fork(after_in_child=f)\nregister_at_fork(before=f)\n"
+              "x = threading.Lock()\nos.fork()\n")
+    assert _process_state(ast.parse(source)) == [
+        "global", "threading.local", "threading.local", "register_at_fork",
+        "register_at_fork"]
+
+
+def test_no_module_keeps_process_state():
+    package = Path(shadowprune.__file__).parent
+    offenders = {
+        str(path.relative_to(package)): found
+        for path in sorted(package.rglob("*.py"))
+        if (found := _process_state(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+
+
 def test_positional_reads_stop_at_the_end_and_name_the_file(tmp_path, monkeypatch):
     path = tmp_path / "photo.pgm"
     path.write_bytes(b"P5 1 1 255 \x00")

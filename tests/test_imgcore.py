@@ -348,7 +348,13 @@ class TestDecode:
         # a maxval that int() reads, too long to quote whole
         (b"P5\n1 1\n" + b"9" * 4000, b"\n\x00",
          "error: maxval " + "9" * 32 + "... not supported (only 255)\n"),
-    ], ids=["digit-raster", "4000-digit-maxval"])
+        # a 4000-digit width, whose raster size is quoted short
+        (b"P5\n" + b"9" * 4000 + b" 1\n255\n", b"\x00",
+         "error: raw raster truncated: expected " + "9" * 32 + "... bytes, found 1\n"),
+        (b"P2\n" + b"9" * 4000 + b" 1\n255\n", b"1 2",
+         "error: plain raster truncated: " + "9" * 32 + "... samples cannot fit in 4 bytes\n"),
+    ], ids=["digit-raster", "4000-digit-maxval", "4000-digit-width-raw",
+            "4000-digit-width-plain"])
     def test_long_header_token_is_quoted_short(self, head, tail, message, tmp_path, capsys):
         path = tmp_path / "long.pgm"
         path.write_bytes(head + tail)

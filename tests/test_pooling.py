@@ -27,7 +27,7 @@ from shadowprune.imgcore import (BinaryImage, GrayImage, RgbImage, encode_pgm, e
                                  load_image, to_gray)
 from shadowprune.pipeline import SamplePoint, extract_point_features
 from shadowprune.pooling import PoolConfig, binarize_pooled, pool
-from shadowprune.threshold import binarize, histogram, otsu_threshold
+from shadowprune.threshold import _count_levels, binarize, histogram, otsu_threshold
 
 from oracles import max_pool_reference
 
@@ -140,23 +140,31 @@ def outcome(path, img, cfg):
 
 
 @contextmanager
-def fresh_executor(block_pixels=pooling._BLOCK_PIXELS, workers=None):
-    """No executor yet, a block budget, and optionally a fixed thread count."""
-    patches = [mock.patch.object(pooling, "_EXECUTOR", None),
-               mock.patch.object(pooling, "_EXECUTOR_WORKERS", 0),
-               mock.patch.object(pooling, "_BLOCK_PIXELS", block_pixels)]
-    if workers is not None:
-        patches.append(mock.patch.object(
-            pooling, "_worker_count", lambda cpu_count, n_blocks: min(workers, n_blocks)))
-    for patch in patches:
-        patch.start()
-    try:
+def split_blocks(block_pixels=pooling._BLOCK_PIXELS, workers=None):
+    """A block budget, and optionally a fixed thread count."""
+    count = pooling._worker_count if workers is None else (
+        lambda cpu_count, n_blocks: min(workers, n_blocks))
+    with mock.patch.object(pooling, "_BLOCK_PIXELS", block_pixels), \
+            mock.patch.object(pooling, "_worker_count", count):
         yield
-    finally:
-        if pooling._EXECUTOR is not None:
-            pooling._EXECUTOR.shutdown()
-        for patch in reversed(patches):
-            patch.stop()
+
+
+def block_threads():
+    """Block threads alive now."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("shadowprune-block")]
+
+
+@contextmanager
+def counting_threads():
+    """The name of the thread that counted each block, in a list."""
+    names = []
+
+    def count_levels(gray):
+        names.append(threading.current_thread().name)
+        return _count_levels(gray)
+
+    with mock.patch.object(pooling, "_count_levels", count_levels):
+        yield names
 
 
 @st.composite
@@ -177,7 +185,7 @@ class TestOnePassPath:
     def test_matches_reference_chain(self, img, p, enabled, block_pixels, workers):
         # block_pixels 1 gives one patch row per block, 30 a few rows
         cfg = PoolConfig(p=p, enabled=enabled)
-        with fresh_executor(block_pixels, workers):
+        with split_blocks(block_pixels, workers):
             found = outcome(binarize_pooled, img, cfg)
         assert found == outcome(reference_path, img, cfg)
 
@@ -187,12 +195,15 @@ class TestOnePassPath:
         px = np.where(rng.random((601, 500)) < 0.3, 40, 215) + rng.integers(-20, 21, (601, 500))
         img = RgbImage(np.stack([px, px, px // 2], axis=2)) if colour else GrayImage(px)
         cfg = PoolConfig()
-        with fresh_executor(workers=2):
+        before = threading.active_count()
+        with split_blocks(workers=2), counting_threads() as ran_on:
             threaded = outcome(binarize_pooled, img, cfg)
-            assert pooling._EXECUTOR is not None  # 601 x 500 makes 4 blocks
-        with fresh_executor(workers=1):
+        # 601 x 500 makes 2 blocks of 522 and 79 rows, each counted on a
+        # block thread that is gone once the call returns
+        assert len(ran_on) == 2 and all(n.startswith("shadowprune-block") for n in ran_on)
+        assert threading.active_count() == before and block_threads() == []
+        with split_blocks(workers=1):
             inline = outcome(binarize_pooled, img, cfg)
-            assert pooling._EXECUTOR is None
         assert threaded == inline == outcome(reference_path, img, cfg)
 
     def test_more_threads_than_cores_switching_often(self):
@@ -203,7 +214,7 @@ class TestOnePassPath:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with fresh_executor(block_pixels=1, workers=8):
+            with split_blocks(block_pixels=1, workers=8):
                 for _ in range(5):
                     assert outcome(binarize_pooled, img, PoolConfig()) == expected
         finally:
@@ -256,7 +267,7 @@ class TestFileSource:
         path = tmp_path_factory.getbasetemp() / "parity.pnm"
         path.write_bytes(data)
         cfg = PoolConfig(p=p, enabled=enabled)
-        with fresh_executor(block_pixels, workers), \
+        with split_blocks(block_pixels, workers), \
                 mock.patch.object(imgcore, "_HEADER_READ", header_read):
             found = outcome(binarize_pooled, path, cfg)
         assert found == outcome(decoded_file, path, cfg)
@@ -288,7 +299,7 @@ class TestFileSource:
 
         monkeypatch.setattr(FileReader, "read_into", short_read)
         monkeypatch.setattr(FileReader, "__exit__", closing)
-        with fresh_executor(block_pixels=150, workers=2):
+        with split_blocks(block_pixels=150, workers=2):
             assert main(["binarize", str(path), str(tmp_path / "out.pgm")]) == 2
         assert capsys.readouterr().err == (
             "error: raw raster truncated: expected 3000 bytes, found 299\n")
@@ -322,7 +333,7 @@ class TestFileSource:
             fh.write(b"P6\n4000 3000\n255\n")
             for _ in range(10):
                 fh.write(rng.integers(0, 256, (300, 4000, 3), dtype=np.uint8).tobytes())
-        with fresh_executor(workers=2):
+        with split_blocks(workers=2):
             tracemalloc.start()
             try:
                 binary, _ = binarize_pooled(path)
@@ -348,21 +359,21 @@ class TestThreadCap:
             (tmp_path / "photo").write_bytes(encode_ppm(RgbImage(px)))
         else:
             (tmp_path / "photo").write_bytes(encode_pgm(GrayImage(px)))
-        with fresh_executor():
-            before = threading.active_count()
+        before = threading.active_count()
+        with split_blocks(), counting_threads() as ran_on:
             extract_point_features(SamplePoint("t", "p", tmp_path / "photo"),
                                    PoolConfig(), GridConfig())
-            assert threading.active_count() == before
-            assert pooling._EXECUTOR is None
+        assert ran_on == [threading.current_thread().name]
+        assert threading.active_count() == before and block_threads() == []
 
-    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
     def test_forked_child_makes_its_own_executor(self):
-        # A child inherits the executor object but none of its threads;
-        # mapping onto it would wait for ever.
+        # A child forked after a threaded call inherits none of its
+        # threads; a pool kept from the parent would wait for ever.
         img = GrayImage(np.random.default_rng(4).integers(0, 256, (40, 30)))
-        with fresh_executor(block_pixels=100, workers=2):
+        with split_blocks(block_pixels=100, workers=2):
             expected = outcome(binarize_pooled, img, PoolConfig())
-            assert pooling._EXECUTOR is not None
+            assert block_threads() == []
             child = multiprocessing.get_context("fork").Process(
                 target=_exit_zero_if_unchanged, args=(img, expected))
             child.start()

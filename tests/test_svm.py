@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -490,6 +491,15 @@ class TestConfigValidation:
     def test_bad_gamma(self):
         with pytest.raises(InvalidConfig):
             TrainConfig(kernel="rbf", gamma=-1.0)
+
+    def test_default_gamma_must_be_finite(self):
+        # variance 2.5e-311: 1 / (d * var) overflows to inf
+        data = TrainingSet(np.array([[0.0], [1e-155], [0.0], [1e-155]]),
+                           np.array([-1.0, 1.0, -1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="too small for a finite rbf gamma"):
+                train(data, TrainConfig(kernel="rbf"))
 
     @pytest.mark.parametrize("field,value", [("tolerance", 0.0), ("tolerance", float("nan")),
                                              ("max_iterations", 0)])
