@@ -1,9 +1,11 @@
 """shadowprune: rate tree pruning quality from canopy shadow photos.
 
-Pipeline: grayscale -> Otsu threshold -> optional patch pooling -> two
-features (black pixel rate, grid uniformity) -> min-max scaling -> SVM.
-Feature rows travel as (n, 2) float64 arrays, ids and labels beside them
-in a FeatureTable; Normalizer.transform is the one scaling step.
+Pipeline: grayscale -> Otsu threshold -> patch pooling (p = 1 is off)
+-> two features (black pixel rate, grid uniformity) -> min-max scaling
+-> SVM.  Extracted features live only in a FeatureTable: (n, 2) float64
+rows with their ids and labels, one row per photo from extract_dataset,
+one per tree from FeatureTable.per_tree.  Normalizer.transform is the
+one scaling step.
 """
 
 from .errors import (
@@ -57,7 +59,6 @@ from .pipeline import (
     SplitSpec,
     TreeRecord,
     extract_dataset,
-    extract_tree_features,
     ingest,
     read_features_csv,
     run_experiment,

@@ -17,9 +17,8 @@ from .features import GridConfig, fit_normalizer
 from .fileio import csv_text, write_file
 from .imgcore import save_pgm
 from .pipeline import (
-    FeatureTable,
     SplitSpec,
-    extract_dataset_tolerant,
+    extract_dataset,
     ingest,
     read_features_csv,
     run_experiment,
@@ -55,11 +54,11 @@ def _add_pool_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pool-factor", type=int, default=3, metavar="P",
                    help="patch edge for pooling (default 3)")
     p.add_argument("--no-pool", action="store_true",
-                   help="skip the pooling stage")
+                   help="skip the pooling stage (the same as --pool-factor 1)")
 
 
 def _pool_cfg(args: argparse.Namespace) -> PoolConfig:
-    return PoolConfig(p=args.pool_factor, enabled=not args.no_pool)
+    return PoolConfig(1 if args.no_pool else args.pool_factor)
 
 
 def _build_parser() -> _Parser:
@@ -163,14 +162,13 @@ def cmd_binarize(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     pool_cfg = _pool_cfg(args)
     grid_cfg = GridConfig(args.grid)
-    records, failures = extract_dataset_tolerant(
-        ingest(args.manifest), pool_cfg, grid_cfg
-    )
+    table, failures = extract_dataset(ingest(args.manifest), pool_cfg, grid_cfg)
     for tree_id, reason in failures:
         print(f"skipped tree {tree_id}: {reason}", file=sys.stderr)
-    if not records:
+    if not len(table):
         raise DataError("no tree could be extracted")
-    table = FeatureTable.from_records(records, per_tree=args.per_tree)
+    if args.per_tree:
+        table = table.per_tree()
     write_features_csv(args.output, table)
     print(f"wrote {len(table)} feature rows to {args.output}")
     return 0
@@ -214,20 +212,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pool_cfg = _pool_cfg(args)
     grid_cfg = GridConfig(args.grid)
-    records, failures = extract_dataset_tolerant(
-        ingest(args.manifest), pool_cfg, grid_cfg
-    )
+    split_spec = SplitSpec(train_fraction=args.train_fraction, seed=args.seed)
+    table, failures = extract_dataset(ingest(args.manifest), pool_cfg, grid_cfg)
     kernels = KERNELS if args.kernel == "both" else (args.kernel,)
     configs = [
         TrainConfig(kernel=k, C=args.c, tolerance=args.tol) for k in kernels
     ]
     result = run_experiment(
-        records,
-        configs,
-        SplitSpec(train_fraction=args.train_fraction, seed=args.seed),
-        pool_cfg,
-        grid_cfg,
-        failed_trees=failures,
+        table, configs, split_spec, pool_cfg, grid_cfg, failed_trees=failures
     )
     print(result.report.to_text(), end="")
     if args.report:

@@ -2,16 +2,16 @@
 
 A dataset is a manifest CSV whose rows are sample-point photographs
 taken under individual trees; rows group into per-tree records carrying
-one expert pruning label each.  A tree's features are the arithmetic
-mean of its points' features.  Experiments split per-tree records,
-fit the normalizer on the training side only, train one model per
-requested config on identical splits, and report accuracies side by
-side.
+one expert pruning label each.  The records are the manifest only:
+extraction turns them into a FeatureTable of one row per photo, and a
+tree's row is the arithmetic mean of its photos' rows
+(FeatureTable.per_tree).  Experiments split per-tree rows, fit the
+normalizer on the training side only, train one model per requested
+config on identical splits, and report accuracies side by side.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -56,7 +56,6 @@ class SamplePoint:
     tree_id: str
     photo_id: str
     image_path: Path
-    features: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class TreeRecord:
     tree_id: str
     label: int
     points: tuple[SamplePoint, ...]
-    features: np.ndarray | None = None
 
     def __post_init__(self):
         if self.label not in (-1, 1):
@@ -85,6 +83,66 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig(f"train fraction {self.train_fraction} outside (0, 1)")
+        if np.any(np.asarray(self.seed) < 0):
+            raise InvalidConfig(f"split seed must be non-negative, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class FeatureTable:
+    """Feature rows with their ids and labels, the one form extracted features take.
+
+    x is (n, 2), one row per photo or tree (see features); y holds the
+    labels in {-1, +1}; photo_id is empty on per-tree rows.
+    """
+
+    tree_ids: tuple[str, ...]
+    photo_ids: tuple[str, ...]
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.int64)
+        if x.ndim != 2 or x.shape[1] != N_FEATURES:
+            raise ValueError(f"feature rows must be (n, {N_FEATURES}), got {x.shape}")
+        n = x.shape[0]
+        if y.shape != (n,) or len(self.tree_ids) != n or len(self.photo_ids) != n:
+            raise ValueError("one tree id, photo id and label per feature row required")
+        if not np.all(np.isin(y, (-1, 1))):
+            raise ValueError("labels must be -1 or +1")
+        x.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "tree_ids", tuple(self.tree_ids))
+        object.__setattr__(self, "photo_ids", tuple(self.photo_ids))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __len__(self) -> int:
+        return len(self.tree_ids)
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> FeatureTable:
+        """The rows at these indices, in this order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return FeatureTable([self.tree_ids[i] for i in rows],
+                            [self.photo_ids[i] for i in rows], self.x[rows], self.y[rows])
+
+    def per_tree(self) -> FeatureTable:
+        """One row per tree id, in first-seen order: the mean of its rows.
+
+        A table that already has one row per tree comes back with the same
+        values, since the mean of one row is that row.
+        """
+        groups: dict[str, list[int]] = {}
+        for i, tree_id in enumerate(self.tree_ids):
+            groups.setdefault(tree_id, []).append(i)
+        x, y = [], []
+        for tree_id, rows in groups.items():
+            labels = self.y[rows]
+            if np.any(labels != labels[0]):
+                raise LabelConflict(f"tree {tree_id} has rows labeled both ways")
+            x.append(self.x[rows].mean(axis=0))
+            y.append(labels[0])
+        return FeatureTable(list(groups), [""] * len(groups), np.reshape(x, (-1, N_FEATURES)), y)
 
 
 def ingest(manifest_path: str | Path) -> list[TreeRecord]:
@@ -133,15 +191,13 @@ def effective_grid(grid: GridConfig, pool_cfg: PoolConfig) -> GridConfig:
     A pooled pixel stands for a p x p source patch, so dividing the
     edge by p keeps a grid covering the same physical extent.
     """
-    if not pool_cfg.enabled or pool_cfg.p == 1:
-        return grid
     return GridConfig(max(1, grid.grid_edge // pool_cfg.p))
 
 
 def extract_point_features(
     point: SamplePoint, pool_cfg: PoolConfig, grid_cfg: GridConfig
 ) -> np.ndarray:
-    """decode -> gray -> threshold -> optional pool -> features for one photo."""
+    """decode -> gray -> threshold -> pool -> features for one photo."""
     try:
         binary, _ = binarize_pooled(point.image_path, pool_cfg)
     except DegenerateHistogram as exc:
@@ -149,75 +205,54 @@ def extract_point_features(
     return extract_features(binary, effective_grid(grid_cfg, pool_cfg))
 
 
-def extract_tree_features(
-    rec: TreeRecord,
-    pool_cfg: PoolConfig = PoolConfig(),
-    grid_cfg: GridConfig = GridConfig(),
-) -> TreeRecord:
-    """Cache per-point features and the per-tree mean on a record."""
-    updated = tuple(
-        dataclasses.replace(p, features=extract_point_features(p, pool_cfg, grid_cfg))
-        for p in rec.points
-    )
-    mean = np.mean(np.stack([p.features for p in updated]), axis=0)
-    return dataclasses.replace(rec, points=updated, features=mean)
-
-
 def extract_dataset(
     records: Iterable[TreeRecord],
     pool_cfg: PoolConfig = PoolConfig(),
     grid_cfg: GridConfig = GridConfig(),
-) -> list[TreeRecord]:
-    """Extract every tree; the first failing image raises its error."""
-    return extract_dataset_tolerant(records, pool_cfg, grid_cfg, strict=True)[0]
+) -> tuple[FeatureTable, list[tuple[str, str]]]:
+    """One feature row per photo, for every tree whose photos all extract.
 
-
-def extract_dataset_tolerant(
-    records: Iterable[TreeRecord],
-    pool_cfg: PoolConfig = PoolConfig(),
-    grid_cfg: GridConfig = GridConfig(),
-    strict: bool = False,
-) -> tuple[list[TreeRecord], list[tuple[str, str]]]:
-    """Extract every tree; a failing image fails only its tree.
-
-    Returns the successfully extracted records plus (tree_id, reason)
-    pairs for the skipped ones, so reports can list them.  With strict,
-    the first failure is raised instead.
+    Rows come tree by tree in record order, each under its tree's label.
+    A failing image fails only its tree: the (tree_id, reason) pairs of
+    the skipped trees come back beside the table, so reports can list
+    them.  With no tree left, the table is empty.
     """
-    done: list[TreeRecord] = []
+    tree_ids: list[str] = []
+    photo_ids: list[str] = []
+    x: list[np.ndarray] = []
+    y: list[int] = []
     failures: list[tuple[str, str]] = []
     for rec in records:
         try:
-            done.append(extract_tree_features(rec, pool_cfg, grid_cfg))
+            rows = [extract_point_features(p, pool_cfg, grid_cfg) for p in rec.points]
         except ShadowPruneError as exc:
-            if strict:
-                raise
             failures.append((rec.tree_id, str(exc)))
-    return done, failures
+            continue
+        tree_ids += [rec.tree_id] * len(rows)
+        photo_ids += [p.photo_id for p in rec.points]
+        x += rows
+        y += [rec.label] * len(rows)
+    return FeatureTable(tree_ids, photo_ids, np.reshape(x, (-1, N_FEATURES)), y), failures
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def split(
-    records: Sequence[TreeRecord], spec: SplitSpec
-) -> tuple[list[TreeRecord], list[TreeRecord]]:
-    """Stratified seeded split into (train, test), original order kept.
+def split(table: FeatureTable, spec: SplitSpec) -> tuple[FeatureTable, FeatureTable]:
+    """Stratified seeded split of the rows into (train, test), table order kept.
 
     The overall training size is round-half-up(fraction * n), allocated
     per class by largest remainder, then clamped so each class keeps at
-    least one record on each side.  Needs >= 2 records per class.
+    least one row on each side.  Needs >= 2 rows per class.
     """
-    by_class: dict[int, list[int]] = {-1: [], 1: []}
-    for i, rec in enumerate(records):
-        by_class[rec.label].append(i)
+    by_class = {c: np.flatnonzero(table.y == c) for c in (-1, 1)}
     if len(by_class[-1]) < 2 or len(by_class[1]) < 2:
         raise InsufficientData(
             "stratified split needs >= 2 records per class, got "
             f"{len(by_class[1])} good / {len(by_class[-1])} poor"
         )
-    n = len(records)
+    n = len(table)
     target = _round_half_up(spec.train_fraction * n)
 
     class_order = (-1, 1)
@@ -233,13 +268,10 @@ def split(
         take[c] = min(max(take[c], 1), len(by_class[c]) - 1)
 
     rng = np.random.default_rng(spec.seed)
-    train_idx: set[int] = set()
+    in_train = np.zeros(n, dtype=bool)
     for c in class_order:
-        perm = rng.permutation(np.asarray(by_class[c], dtype=np.int64))
-        train_idx.update(int(i) for i in perm[: take[c]])
-    train = [records[i] for i in range(n) if i in train_idx]
-    test = [records[i] for i in range(n) if i not in train_idx]
-    return train, test
+        in_train[rng.permutation(by_class[c])[: take[c]]] = True
+    return table.take(np.flatnonzero(in_train)), table.take(np.flatnonzero(~in_train))
 
 
 @dataclass(frozen=True)
@@ -331,44 +363,38 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Report plus the trained models and raw per-record predictions."""
+    """Report plus the trained models and raw predictions on the test trees."""
 
     report: EvalReport
     models: tuple[SvmModel | None, ...]
-    test_records: tuple[TreeRecord, ...]
+    test: FeatureTable
     predictions: tuple[tuple[int, ...] | None, ...]
 
 
-def _require_features(records: Sequence[TreeRecord]) -> None:
-    for rec in records:
-        if rec.features is None:
-            raise ValueError(f"tree {rec.tree_id} has no extracted features")
-
-
 def run_experiment(
-    records: Sequence[TreeRecord],
+    table: FeatureTable,
     configs: Sequence[TrainConfig],
     split_spec: SplitSpec = SplitSpec(),
     pool_cfg: PoolConfig = PoolConfig(),
     grid_cfg: GridConfig = GridConfig(),
     failed_trees: Sequence[tuple[str, str]] = (),
 ) -> ExperimentResult:
-    """Split, normalize on train only, fit every config, score on test.
+    """Average per tree, split, normalize on train only, fit every config, score on test.
 
-    One config failing to train records its error in the report without
-    aborting the others.  pool_cfg/grid_cfg describe how the features
-    were extracted and are stamped into the report and models;
-    failed_trees lists records dropped upstream, for the report only.
+    The split is over per-tree rows (table.per_tree()), so the photos of
+    one tree never land on both sides.  One config failing to train
+    records its error in the report without aborting the others.
+    pool_cfg/grid_cfg describe how the features were extracted and are
+    stamped into the report and models (p = 1 as pooling off);
+    failed_trees lists trees dropped upstream, for the report only.
     """
-    _require_features(records)
-    train_recs, test_recs = split(records, split_spec)
-    x = np.array([rec.features for rec in train_recs])
-    nz = fit_normalizer(x)
-    tset = TrainingSet(nz.transform(x), [rec.label for rec in train_recs])
-    x_test = np.array([rec.features for rec in test_recs])
+    train_rows, test = split(table.per_tree(), split_spec)
+    nz = fit_normalizer(train_rows.x)
+    tset = TrainingSet(nz.transform(train_rows.x), train_rows.y)
+    labels = test.y.tolist()
 
     eff_edge = effective_grid(grid_cfg, pool_cfg).grid_edge
-    pool_factor = pool_cfg.p if pool_cfg.enabled else None
+    pool_factor = pool_cfg.p if pool_cfg.p > 1 else None
 
     entries: list[ModelEval] = []
     models: list[SvmModel | None] = []
@@ -386,17 +412,17 @@ def run_experiment(
             models.append(None)
             predictions.append(None)
             continue
-        preds = tuple(decision_label(v) for v in decision_values(model, x_test).tolist())
-        tp = sum(1 for p, r in zip(preds, test_recs) if p == 1 and r.label == 1)
-        tn = sum(1 for p, r in zip(preds, test_recs) if p == -1 and r.label == -1)
-        fp = sum(1 for p, r in zip(preds, test_recs) if p == 1 and r.label == -1)
-        fn = sum(1 for p, r in zip(preds, test_recs) if p == -1 and r.label == 1)
+        preds = tuple(decision_label(v) for v in decision_values(model, test.x).tolist())
+        tp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 1)
+        tn = sum(1 for p, y in zip(preds, labels) if p == -1 and y == -1)
+        fp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == -1)
+        fn = sum(1 for p, y in zip(preds, labels) if p == -1 and y == 1)
         entries.append(
             ModelEval(
                 kernel=cfg.kernel,
                 C=cfg.C,
                 gamma=model.gamma,
-                accuracy=(tp + tn) / len(test_recs),
+                accuracy=(tp + tn) / len(test),
                 tp=tp,
                 tn=tn,
                 fp=fp,
@@ -407,8 +433,8 @@ def run_experiment(
         predictions.append(preds)
 
     report = EvalReport(
-        n_train=len(train_recs),
-        n_test=len(test_recs),
+        n_train=len(train_rows),
+        n_test=len(test),
         seed=split_spec.seed,
         train_fraction=split_spec.train_fraction,
         pool_factor=pool_factor,
@@ -419,59 +445,9 @@ def run_experiment(
     return ExperimentResult(
         report=report,
         models=tuple(models),
-        test_records=tuple(test_recs),
+        test=test,
         predictions=tuple(predictions),
     )
-
-
-@dataclass(frozen=True)
-class FeatureTable:
-    """Feature rows with their ids and labels, as read from or written to a CSV.
-
-    x is (n, 2), one row per photo or tree (see features); y holds the
-    labels in {-1, +1}; photo_id is empty on per-tree rows.
-    """
-
-    tree_ids: tuple[str, ...]
-    photo_ids: tuple[str, ...]
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
-        if x.ndim != 2 or x.shape[1] != N_FEATURES:
-            raise ValueError(f"feature rows must be (n, {N_FEATURES}), got {x.shape}")
-        n = x.shape[0]
-        if y.shape != (n,) or len(self.tree_ids) != n or len(self.photo_ids) != n:
-            raise ValueError("one tree id, photo id and label per feature row required")
-        if not np.all(np.isin(y, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "tree_ids", tuple(self.tree_ids))
-        object.__setattr__(self, "photo_ids", tuple(self.photo_ids))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __len__(self) -> int:
-        return len(self.tree_ids)
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[TreeRecord], per_tree: bool = False
-    ) -> "FeatureTable":
-        """One row per tree, or per photo under each tree's label."""
-        if not records:
-            raise InsufficientData("no extracted records to tabulate")
-        _require_features(records)
-        if per_tree:
-            items = [(r.tree_id, "", r.features, r.label) for r in records]
-        else:
-            items = [(p.tree_id, p.photo_id, p.features, r.label)
-                     for r in records for p in r.points]
-        tree_ids, photo_ids, x, y = zip(*items)
-        return cls(tree_ids, photo_ids, np.array(x), y)
 
 
 def write_features_csv(path: str | Path, table: FeatureTable) -> None:

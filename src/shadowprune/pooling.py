@@ -44,10 +44,9 @@ _BLOCK_PIXELS = 1 << 18
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Patch edge length p, and a bypass flag for the optional stage."""
+    """Patch edge length p; p = 1 keeps every pixel, which is pooling off."""
 
     p: int = DEFAULT_POOL_FACTOR
-    enabled: bool = True
 
     def __post_init__(self):
         if self.p < 1:
@@ -58,11 +57,9 @@ def pool(img: GrayImage, cfg: PoolConfig = PoolConfig()) -> GrayImage:
     """Downscale by cfg.p, keeping each patch's maximum.
 
     A binary image stays binary: a patch is white iff any pixel is.
-    A disabled config (or p=1) passes the image through unchanged.
-    Raises ImageTooSmall when the image cannot supply one full patch.
+    p = 1 passes the image through unchanged.  Raises ImageTooSmall
+    when the image cannot supply one full patch.
     """
-    if not cfg.enabled:
-        return img
     factor = cfg.p
     out_h = img.height // factor
     out_w = img.width // factor
@@ -116,7 +113,7 @@ def binarize_pooled(
         height, width, colour = source.height, source.width, source.colour
         if height * width == 0:
             raise EmptyImage("cannot histogram an empty image")
-        p = cfg.p if cfg.enabled else 1
+        p = cfg.p
         pooled = np.empty((height // p, width // p), dtype=np.uint8)
         step = max(1, _BLOCK_PIXELS // (width * p)) * p
 

@@ -73,6 +73,8 @@ class SynthConfig:
             raise InvalidConfig(f"noise spread {self.noise} is negative")
         if self.shadow_mean + self.noise >= self.background_mean - self.noise:
             raise InvalidConfig("noise spread merges the shadow and background modes")
+        if np.any(np.asarray(self.seed) < 0):
+            raise InvalidConfig(f"synth seed must be non-negative, got {self.seed}")
 
     @property
     def label(self) -> int:
@@ -205,6 +207,8 @@ def generate_dataset(
     """
     if n_trees < 1 or points_per_tree < 1:
         raise InvalidConfig("need at least one tree and one point per tree")
+    if seed < 0:  # before any file is written
+        raise InvalidConfig(f"synth seed must be non-negative, got {seed}")
     good = good_cfg if good_cfg is not None else default_config(REGIME_GOOD)
     poor = poor_cfg if poor_cfg is not None else default_config(REGIME_POOR)
     out = Path(out_dir)

@@ -11,7 +11,6 @@ the inline comments; reference values come from tests/oracles.py.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
@@ -20,6 +19,7 @@ import pytest
 from shadowprune.features import uniformity
 from shadowprune.imgcore import GrayImage, RgbImage, to_gray
 from shadowprune.pipeline import (
+    FeatureTable,
     SplitSpec,
     extract_dataset,
     ingest,
@@ -225,14 +225,15 @@ def synthetic_experiment(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance-data")
     start = time.perf_counter()
     manifest = generate_dataset(out, n_trees=100, points_per_tree=10, seed=0)
-    records = extract_dataset(ingest(manifest))
+    table, failures = extract_dataset(ingest(manifest))
+    assert failures == []
     result = run_experiment(
-        records,
+        table,
         [TrainConfig(kernel="linear"), TrainConfig(kernel="rbf")],
         SplitSpec(train_fraction=0.6, seed=0),
     )
     elapsed = time.perf_counter() - start
-    return manifest, records, result, elapsed
+    return manifest, table, result, elapsed
 
 
 def test_07_end_to_end_synthetic_run(synthetic_experiment):
@@ -262,15 +263,13 @@ def test_08_shuffled_label_null(synthetic_experiment):
     # measurements here.  Checks 1-7 validate the pipeline on synthetic
     # data; this one adds a leakage guard: with labels shuffled, mean
     # test accuracy over 20 seeds must sit at chance, 0.5 +- 0.15.
-    _, records, _, _ = synthetic_experiment
-    labels = [r.label for r in records]
+    _, table, _, _ = synthetic_experiment
+    trees = table.per_tree()
     accuracies = []
     for seed in range(20):
         rng = np.random.default_rng(800 + seed)
-        shuffled = [
-            dataclasses.replace(rec, label=int(lab))
-            for rec, lab in zip(records, rng.permutation(labels))
-        ]
+        shuffled = FeatureTable(trees.tree_ids, trees.photo_ids, trees.x,
+                                rng.permutation(trees.y))
         result = run_experiment(
             shuffled,
             [TrainConfig(kernel="linear")],
@@ -294,9 +293,9 @@ def test_09_deterministic_reruns(synthetic_experiment, tmp_path):
     # repeating the end-to-end run must reproduce the report and the
     # model files byte for byte
     manifest, _, first, _ = synthetic_experiment
-    records = extract_dataset(ingest(manifest))
+    table, _ = extract_dataset(ingest(manifest))
     second = run_experiment(
-        records,
+        table,
         [TrainConfig(kernel="linear"), TrainConfig(kernel="rbf")],
         SplitSpec(train_fraction=0.6, seed=0),
     )

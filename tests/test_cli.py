@@ -71,6 +71,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [["evaluate", "{manifest}"],
+                                         ["synth", "--out", "{out}/d"]])
+    def test_negative_seed_is_usage_error(self, command, dataset, tmp_path, capsys):
+        argv = [a.format(manifest=dataset / "manifest.csv", out=tmp_path) for a in command]
+        assert main(["--seed", "-1", *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+        assert not (tmp_path / "d").exists()
+
     def test_invalid_coverage_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["synth", "--out", str(tmp_path / "d"), "--coverage-good", "1.5"]

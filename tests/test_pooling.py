@@ -65,7 +65,7 @@ class TestPatchRule:
     def test_disabled_config_passes_through(self):
         rng = np.random.default_rng(6)
         img = random_binary(rng, 5, 5)
-        out = pool(img, PoolConfig(p=3, enabled=False))
+        out = pool(img, PoolConfig(p=1))
         assert out is img
 
     def test_too_small_image(self):
@@ -179,12 +179,12 @@ def photos(draw):
 
 
 class TestOnePassPath:
-    @given(photos(), st.sampled_from([1, 2, 3, 5]), st.booleans(),
+    @given(photos(), st.sampled_from([1, 2, 3, 5]),
            st.sampled_from([1, 30, 1 << 18]), st.sampled_from([1, 2]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_chain(self, img, p, enabled, block_pixels, workers):
+    def test_matches_reference_chain(self, img, p, block_pixels, workers):
         # block_pixels 1 gives one patch row per block, 30 a few rows
-        cfg = PoolConfig(p=p, enabled=enabled)
+        cfg = PoolConfig(p=p)
         with split_blocks(block_pixels, workers):
             found = outcome(binarize_pooled, img, cfg)
         assert found == outcome(reference_path, img, cfg)
@@ -259,14 +259,14 @@ def raw_files(draw):
 
 class TestFileSource:
     @given(raw_files(), st.sampled_from([2, 5, 4096]), st.sampled_from([1, 2, 3, 5]),
-           st.booleans(), st.sampled_from([1, 30, 1 << 18]), st.sampled_from([1, 2]))
+           st.sampled_from([1, 30, 1 << 18]), st.sampled_from([1, 2]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_decoded_file(self, tmp_path_factory, data, header_read, p, enabled,
+    def test_matches_decoded_file(self, tmp_path_factory, data, header_read, p,
                                   block_pixels, workers):
         # header_read 2 and 5 make every header longer than the first read
         path = tmp_path_factory.getbasetemp() / "parity.pnm"
         path.write_bytes(data)
-        cfg = PoolConfig(p=p, enabled=enabled)
+        cfg = PoolConfig(p=p)
         with split_blocks(block_pixels, workers), \
                 mock.patch.object(imgcore, "_HEADER_READ", header_read):
             found = outcome(binarize_pooled, path, cfg)

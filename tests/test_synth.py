@@ -61,6 +61,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             SynthConfig(regime="overgrown")
 
+    @pytest.mark.parametrize("seed", [-2, (0, -2, 1), (-(2**70),)])
+    def test_negative_seed_rejected(self, seed):
+        # numpy's default_rng would fail later, without naming the seed
+        with pytest.raises(InvalidConfig, match="seed"):
+            SynthConfig(seed=seed)
+
     def test_labels_by_regime(self):
         assert SynthConfig(regime=REGIME_GOOD).label == LABEL_GOOD
         assert SynthConfig(regime=REGIME_POOR).label == LABEL_POOR
@@ -85,7 +91,7 @@ class TestRenderAndRecover:
         rng = np.random.default_rng(3)
         mask = ellipse_mask(120, 120, 60.0, 60.0, 25.0, 40.0)
         img = render_image(mask, 40, 215, 20, rng)
-        binary, _ = binarize_pooled(img, PoolConfig(enabled=False))
+        binary, _ = binarize_pooled(img, PoolConfig(1))
         recovered = binary.pixels == 0
         assert np.array_equal(recovered, mask)
 
@@ -112,7 +118,7 @@ class TestGenerate:
     def test_binarized_rate_inside_declared_interval(self, regime):
         for seed in range(5):
             result = generate(default_config(regime, seed=(seed,)))
-            binary, _ = binarize_pooled(result.image, PoolConfig(enabled=False))
+            binary, _ = binarize_pooled(result.image, PoolConfig(1))
             rate = black_pixel_rate(binary)
             assert result.coverage_low <= rate <= result.coverage_high
 
@@ -273,15 +279,17 @@ class TestGenerateDataset:
         with pytest.raises(InvalidConfig):
             generate_dataset(tmp_path, n_trees=0)
 
+    def test_negative_seed_writes_nothing(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="seed"):
+            generate_dataset(tmp_path / "d", seed=-1)
+        assert not (tmp_path / "d").exists()
+
 
 class TestRegimeSeparation:
     def test_features_separate_and_are_linearly_separable(self, tmp_path):
         manifest = generate_dataset(tmp_path, n_trees=6, points_per_tree=3, seed=2)
-        records = extract_dataset(ingest(manifest))
-        rates = {1: [], -1: []}
-        for rec in records:
-            rates[rec.label].append(rec.features[0])
-        assert max(rates[1]) < min(rates[-1])
-        x = np.array([r.features for r in records])
-        y = np.array([float(r.label) for r in records])
-        assert hard_margin_oracle(x, y) is not None
+        table, failures = extract_dataset(ingest(manifest))
+        assert failures == []
+        trees = table.per_tree()
+        assert max(trees.x[trees.y == 1, 0]) < min(trees.x[trees.y == -1, 0])
+        assert hard_margin_oracle(trees.x, trees.y.astype(float)) is not None

@@ -181,16 +181,16 @@ class TestAutoBinarize:
         rng = np.random.default_rng(11)
         values = np.where(rng.random((20, 20)) < 0.5, 50, 200).astype(np.uint8)
         img = GrayImage(values)
-        out, result = binarize_pooled(img, PoolConfig(enabled=False))
+        out, result = binarize_pooled(img, PoolConfig(1))
         assert 50 < result.threshold <= 200
         assert np.array_equal(out.pixels == 0, values == 50)
 
     def test_constant_black_raises(self):
         with pytest.raises(DegenerateHistogram):
             binarize_pooled(GrayImage(np.zeros((4, 4), dtype=np.uint8)),
-                            PoolConfig(enabled=False))
+                            PoolConfig(1))
 
     def test_already_binary_is_fixed_point(self):
         img = gray_row([0, 0, 255, 255])
-        out, _ = binarize_pooled(img, PoolConfig(enabled=False))
+        out, _ = binarize_pooled(img, PoolConfig(1))
         assert np.array_equal(out.pixels, img.pixels)
