@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import DataError, InvalidConfig, NumericError, ShadowPruneError
+from .errors import DataError, InsufficientData, InvalidConfig, NumericError, ShadowPruneError
 from .features import GridConfig, fit_normalizer
 from .fileio import csv_text, write_file
 from .imgcore import save_pgm
@@ -218,9 +218,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     configs = [
         TrainConfig(kernel=k, C=args.c, tolerance=args.tol) for k in kernels
     ]
-    result = run_experiment(
-        table, configs, split_spec, pool_cfg, grid_cfg, failed_trees=failures
-    )
+    try:
+        result = run_experiment(
+            table, configs, split_spec, pool_cfg, grid_cfg, failed_trees=failures
+        )
+    except InsufficientData as exc:
+        if not failures:
+            raise
+        # The report that would list the skipped trees is never written.
+        tree_id, reason = failures[0]
+        raise InsufficientData(
+            f"{exc}; skipped trees: {len(failures)}, first {tree_id}: {reason}"
+        ) from exc
     print(result.report.to_text(), end="")
     if args.report:
         write_file(args.report, result.report.to_kv(), "report")

@@ -50,10 +50,6 @@ _SHOWN = 32
 _HEADER_READ = 4096
 _TAIL_READ = 1 << 20
 
-# Pixels per block of the colour grayscale, small enough for the float
-# temporaries to stay in cache.
-_GRAY_CHUNK = 1 << 16
-
 
 def _check_intensity(px: np.ndarray, what: str) -> None:
     if not np.issubdtype(px.dtype, np.integer):
@@ -128,11 +124,12 @@ class BinaryImage(GrayImage):
 
 
 def to_gray(img: RgbImage | GrayImage) -> GrayImage:
-    """Convert RGB to grayscale as 0.21 r + 0.72 g + 0.07 b per pixel.
+    """Convert RGB to grayscale as floor(0.21 r + 0.72 g + 0.07 b + 0.5) per pixel.
 
-    Results are rounded half-up so the output stays integral; equal-channel
-    pixels (v, v, v) map back to v for every v in [0, 255].  A GrayImage is
-    already gray and comes back unchanged.
+    The sum is taken in float64, left to right, so the weights' binary
+    rounding decides the exact .5 ties: most round up, some round down.
+    Equal-channel pixels (v, v, v) map back to v for every v in [0, 255].
+    A GrayImage is already gray and comes back unchanged.
     """
     if isinstance(img, GrayImage):
         return img
@@ -144,30 +141,38 @@ def to_gray(img: RgbImage | GrayImage) -> GrayImage:
 def _gray_rows(rgb: np.ndarray, out: np.ndarray) -> None:
     """Write the grayscale of (h, w, 3) pixels into the (h, w) uint8 `out`.
 
-    The float64 formula runs over blocks of rows through two buffers
-    made for this call, with the same operations in the same order on
-    every pixel.  Gray (h, w) pixels are copied.
+    The result is `to_gray`'s float64 formula, computed in integers:
+    s = 21 r + 72 g + 7 b + 50 is at most 25,550, so it fits in uint16,
+    and s // 100 is the float formula's floor on every colour except
+    the exact .5 ties, where s % 100 == 0.  Only those pixels, 1% of
+    all colours, re-run the float64 expression with the same operations
+    in the same order.  They are read from `rgb` and written to `out` by
+    row and column, so either may be any view.  Gray (h, w) pixels are
+    copied.
     """
     if rgb.ndim == 2:
         out[...] = rgb
         return
+    # GRAY_WEIGHTS in hundredths.  dtype widens the loop to uint16:
+    # uint8 times a Python int would stay uint8 and wrap.
+    s = np.multiply(rgb[:, :, 0], 21, dtype=np.uint16)
+    part = np.multiply(rgb[:, :, 1], 72, dtype=np.uint16)
+    s += part
+    s += np.multiply(rgb[:, :, 2], 7, out=part, dtype=np.uint16)
+    s += 50
+    q = np.floor_divide(s, 100, out=part)
+    out[...] = q
+    q *= 100
+    ties = np.divmod(np.flatnonzero(q == s), out.shape[1])
+    px = rgb[ties]
     wr, wg, wb = GRAY_WEIGHTS
-    height, width = out.shape
-    step = max(1, _GRAY_CHUNK // max(1, width))
-    size = min(step, height) * width
-    buffers = np.empty(size), np.empty(size)
-    for top in range(0, height, step):
-        block = rgb[top : top + step]
-        shape = block.shape[:2]
-        gray = buffers[0][: shape[0] * width].reshape(shape)
-        part = buffers[1][: shape[0] * width].reshape(shape)
-        # dtype pins the float64 loop, which numpy 1.x would not pick
-        # for uint8 times a Python float.
-        np.multiply(block[:, :, 0], wr, out=gray, dtype=np.float64)
-        gray += np.multiply(block[:, :, 1], wg, out=part, dtype=np.float64)
-        gray += np.multiply(block[:, :, 2], wb, out=part, dtype=np.float64)
-        gray += 0.5
-        out[top : top + step] = np.floor(gray, out=gray)
+    # dtype pins the float64 loop, which numpy 1.x would not pick for
+    # uint8 times a Python float.
+    gray = np.multiply(px[:, 0], wr, dtype=np.float64)
+    gray += np.multiply(px[:, 1], wg, dtype=np.float64)
+    gray += np.multiply(px[:, 2], wb, dtype=np.float64)
+    gray += 0.5
+    out[ties] = np.floor(gray, out=gray)
 
 
 # --- netpbm parsing -------------------------------------------------------

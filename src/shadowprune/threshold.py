@@ -24,6 +24,10 @@ LEVELS = 256
 
 _HISTOGRAM_CHUNK = 1 << 16
 
+# Candidates whose float objective lies within this relative distance of
+# the float maximum are ordered exactly.  The float error is some 1e-13.
+_TIE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class Histogram:
@@ -104,7 +108,10 @@ def otsu_threshold(h: Histogram) -> OtsuResult:
 
     Cumulative moments from both ends give every candidate in a single
     pass over the 256 bins; the empty-class sides stay exactly zero so
-    no spurious candidate can win on rounding noise.
+    no spurious candidate can win on rounding noise.  When two distinct
+    splits come within rounding of the float maximum, they are compared
+    exactly, so ties go to the smallest t; the audit fields stay the
+    float ones at that t.
 
     Raises DegenerateHistogram when fewer than two intensity levels are
     present (every split leaves a class empty and the objective is
@@ -130,7 +137,14 @@ def otsu_threshold(h: Histogram) -> OtsuResult:
     mu1 = np.divide(m1, w1, out=np.zeros(LEVELS), where=valid)
     objective = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, 0.0)
 
-    t = int(np.argmax(objective))  # first maximum = smallest t on ties
+    # Every t of a run of empty bins makes the same split, and the float
+    # maximum is the first t of its run; only the first t of each run is
+    # a candidate.
+    t = int(np.argmax(objective))
+    near = objective >= objective[t] * (1.0 - _TIE_TOLERANCE)
+    near[1:] &= h.counts[:-1] > 0
+    if np.count_nonzero(near) > 1:
+        t = _exact_first_max(h.counts, np.flatnonzero(near).tolist())
     return OtsuResult(
         threshold=t,
         objective=objective,
@@ -139,6 +153,26 @@ def otsu_threshold(h: Histogram) -> OtsuResult:
         mu0=float(mu0[t]),
         mu1=float(mu1[t]),
     )
+
+
+def _exact_first_max(counts: np.ndarray, candidates: list[int]) -> int:
+    """The candidate t of largest exact objective, the smallest on ties.
+
+    With n0, n1 the pixel counts and s0, s1 the intensity sums of the two
+    classes, the objective is (n1 s0 - n0 s1)^2 / (N^2 n0 n1).  The
+    fractions are compared in Python ints: on a 12-MP photo the
+    numerators reach about 1e33, past int64.
+    """
+    n = np.cumsum(counts).tolist()
+    s = np.cumsum(counts * np.arange(LEVELS)).tolist()
+    best, best_num, best_den = candidates[0], 0, 1
+    for t in candidates:
+        n0, s0 = n[t - 1], s[t - 1]
+        n1, s1 = n[-1] - n0, s[-1] - s0
+        num, den = (n1 * s0 - n0 * s1) ** 2, n0 * n1
+        if num * best_den > best_num * den:
+            best, best_num, best_den = t, num, den
+    return best
 
 
 def binarize(img: GrayImage, t: int) -> BinaryImage:

@@ -9,6 +9,7 @@ reason written in the test that consumes them.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -45,6 +46,34 @@ def otsu_exhaustive(counts) -> tuple[int, float]:
     return best_t, best_obj
 
 
+def otsu_exact(counts) -> int:
+    """Exact scan of every threshold in Fractions; returns t.
+
+    sigma_b2(t) = w0 w1 (mu0 - mu1)^2 with every term a Fraction of the
+    integer counts, so two splits tie only when their values are equal.
+    Thresholds whose classes are not both populated are skipped; ties
+    keep the smallest t via strict > comparison.
+    """
+    counts = [int(c) for c in counts]
+    total = sum(counts)
+    best_t = None
+    best_obj = Fraction(-1)
+    for t in range(1, LEVELS):
+        n0 = sum(counts[:t])
+        n1 = total - n0
+        if n0 == 0 or n1 == 0:
+            continue
+        mu0 = Fraction(sum(i * counts[i] for i in range(t)), n0)
+        mu1 = Fraction(sum(i * counts[i] for i in range(t, LEVELS)), n1)
+        obj = Fraction(n0, total) * Fraction(n1, total) * (mu0 - mu1) ** 2
+        if obj > best_obj:
+            best_obj = obj
+            best_t = t
+    if best_t is None:
+        raise ValueError("histogram has a single occupied level")
+    return best_t
+
+
 def intra_class_variance(counts, t: int) -> float:
     """Weighted within-class variance of the split at t (two-pass)."""
     counts = [int(c) for c in counts]
@@ -76,7 +105,11 @@ def two_pass_std(values) -> float:
 
 
 def gray_formula(r: int, g: int, b: int) -> int:
-    """Weighted channel mix with round-half-up, evaluated directly."""
+    """Weighted channel mix plus 0.5, floored, in Python floats left to right.
+
+    At the exact .5 ties the float rounding of the weights decides, so
+    some of them round down.
+    """
     v = 0.21 * r + 0.72 * g + 0.07 * b
     return min(255, max(0, math.floor(v + 0.5)))
 

@@ -439,6 +439,20 @@ class TestEvaluate:
         assert "linear: accuracy" in out
         assert "winner:" not in out
 
+    def test_failed_split_names_the_skipped_trees(self, tmp_path, capsys):
+        flat = tmp_path / "flat.pgm"
+        flat.write_bytes(encode_pgm(GrayImage(np.full((20, 20), 5, dtype=np.uint8))))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("tree_id,photo_id,image_path,label\n" + "".join(
+            f"t{i},p1,flat.pgm,{i % 2}\n" for i in range(4)))
+        assert main(["evaluate", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: stratified split needs >= 2 records per class, got 0 good / 0 poor;"
+            " skipped trees: 4, first t0: histogram has fewer than two occupied"
+            " intensity levels (photo_id=p1)\n")
+
     def test_report_deterministic(self, dataset, tmp_path, capsys):
         paths = [tmp_path / "r1.kv", tmp_path / "r2.kv"]
         for p in paths:

@@ -4,23 +4,51 @@ A change meant to keep outputs byte-identical must leave each SHA-256
 below as it is; a change meant to alter an output updates its digest
 here and says why.  The orchard is `synth` at seed 7 (8 trees x 3
 points of 100x100, counted on a 20-pixel grid), with one photo of tree
-t001 made constant, so extraction skips that tree.  Console text is hashed with the temporary
-directory masked.
+t001 made constant, so extraction skips that tree.  Console text is
+hashed with the temporary directory masked.
+
+A colour photo of 480x640 joins it, as raw P6 and as a plain P3 copy.
+It is more than one 2^18-pixel block, so it takes the threaded
+multi-block path, and its channel jitter hits the exact .5 ties of the
+grayscale formula.  `binarize` writes its PGM and audit line pooled and
+with --no-pool; the audit line's class means move with any pixel's
+gray level, ties included.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from shadowprune import synth
 from shadowprune.cli import main
-from shadowprune.imgcore import GrayImage, encode_pgm
+from shadowprune.imgcore import GrayImage, RgbImage, encode_pgm, encode_ppm
+
+# The colour scheme of the benchmark's P6 photos: each channel is
+# v + CAST + e with e drawn from [-JITTER, JITTER], so the channels
+# differ and hit the .5 ties; a FLECK_SHARE of the shadow pixels takes
+# channels drawn from FLECK_LEVELS, between the two modes, so Otsu's
+# threshold falls among populated levels.
+CAST = (8, 0, -8)
+JITTER = 7
+FLECK_SHARE = 0.2
+FLECK_LEVELS = (60, 196)
+COLOUR_SEED = 11
 
 GOLDEN = {
+    "binarize colour nopool console": "8304ba385da1dc57a46a6b1e7677e7da326f546d9b2795290727d12543e75714",
+    "binarize colour nopool pgm": "c27b36497a714a7f2e9cceb43f8b9c087f8d7fe5fbf4554ff7cdbf35025edcd0",
+    "binarize colour pooled console": "8304ba385da1dc57a46a6b1e7677e7da326f546d9b2795290727d12543e75714",
+    "binarize colour pooled pgm": "c1c134f7cc1c714a2be26710988dadfdf847ff4c4cb8f529499653bfff9c3ff9",
+    "binarize plain nopool console": "8304ba385da1dc57a46a6b1e7677e7da326f546d9b2795290727d12543e75714",
+    "binarize plain nopool pgm": "c27b36497a714a7f2e9cceb43f8b9c087f8d7fe5fbf4554ff7cdbf35025edcd0",
+    "binarize plain pooled console": "8304ba385da1dc57a46a6b1e7677e7da326f546d9b2795290727d12543e75714",
+    "binarize plain pooled pgm": "c1c134f7cc1c714a2be26710988dadfdf847ff4c4cb8f529499653bfff9c3ff9",
     "evaluate seed 0 console": "4e00b8452d072feb179e98be99b4808c5b68b991c9873f9f5b8dc1f0de89e8fd",
     "evaluate seed 0 model": "54c761e83f1738b8135582f720e75635efd1ecacff6d2421d52bff6e2cdee1c6",
     "evaluate seed 0 report": "29d6b13212b4da6dbe717a38051602ab00510f75d1a1792ef87bb4e88589c343",
@@ -41,6 +69,20 @@ GOLDEN = {
     "train rbf console": "97d5d8343464f991c562184571a84724633d87a3dfe36d8ba09a6dca8d8989e7",
     "train rbf model": "20dca2de06c0fb8b635e1f4eec930a7d9296a5c6dcfc3c7ab6125cc28a35c579",
 }
+
+
+def colour_photo() -> RgbImage:
+    """The 480x640 colour photo: a synth shadow image, jittered and flecked."""
+    cfg = dataclasses.replace(synth.default_config(synth.REGIME_GOOD, seed=COLOUR_SEED),
+                              height=480, width=640)
+    gray = synth.generate(cfg).image.pixels
+    mask = gray < (cfg.shadow_mean + cfg.background_mean) // 2
+    rng = np.random.default_rng(COLOUR_SEED)
+    jitter = rng.integers(-JITTER, JITTER + 1, size=(*gray.shape, 3), dtype=np.int16)
+    rgb = gray[..., None].astype(np.int16) + np.array(CAST, dtype=np.int16) + jitter
+    fleck = mask & (rng.random(mask.shape) < FLECK_SHARE)
+    rgb[fleck] = rng.integers(*FLECK_LEVELS, size=(int(fleck.sum()), 3), dtype=np.int16)
+    return RgbImage(rgb.astype(np.uint8))
 
 
 def _run(argv: list[str], root: str) -> bytes:
@@ -82,7 +124,28 @@ def outputs(tmp_path_factory) -> dict[str, bytes]:
              "--report", f"{d}/r{seed}.txt", "--save-model", f"{d}/e{seed}.model"], d)
         got[f"evaluate seed {seed} report"] = (root / f"r{seed}.txt").read_bytes()
         got[f"evaluate seed {seed} model"] = (root / f"e{seed}.model").read_bytes()
+
+    photo = colour_photo()
+    (root / "colour.ppm").write_bytes(encode_ppm(photo))
+    (root / "plain.ppm").write_bytes(encode_ppm(photo, raw=False))
+    for name in ("colour", "plain"):
+        for pool, flags in (("pooled", []), ("nopool", ["--no-pool"])):
+            key = f"binarize {name} {pool}"
+            got[f"{key} console"] = _run(
+                ["binarize", f"{d}/{name}.ppm", f"{d}/{name}-{pool}.pgm", *flags], d)
+            got[f"{key} pgm"] = (root / f"{name}-{pool}.pgm").read_bytes()
     return got
+
+
+def test_colour_photo_hits_the_ties():
+    # The integer form (21r + 72g + 7b + 50) // 100 differs from the
+    # float formula only at .5 ties; this photo must have such pixels.
+    rgb = colour_photo().pixels.astype(np.int64)
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    exact = (21 * r + 72 * g + 7 * b + 50) // 100
+    gray = np.floor(0.21 * r + 0.72 * g + 0.07 * b + 0.5)
+    assert rgb.shape[0] * rgb.shape[1] > 1 << 18
+    assert np.count_nonzero(gray != exact) > 100
 
 
 def test_every_output_is_recorded(outputs):

@@ -24,6 +24,9 @@ from shadowprune.imgcore import (
     to_gray,
 )
 
+# gray_formula's docstring names the float rounding of the .5 ties, some
+# of which round down; test_gray_rows_into_any_view puts half its pixels
+# on them.
 from oracles import gray_formula
 
 
@@ -194,6 +197,30 @@ class TestToGray:
     def test_dimensions_preserved(self):
         img = RgbImage(np.zeros((4, 7, 3), dtype=np.uint8))
         assert to_gray(img).pixels.shape == (4, 7)
+
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1),
+           st.sampled_from(["rows", "strided", "transposed"]))
+    @settings(max_examples=80, deadline=None)
+    def test_gray_rows_into_any_view(self, h, w, seed, layout):
+        # Half the pixels sit on a .5 tie: 7b = -(21r + 72g + 50) mod 100,
+        # and 43 is 7's inverse mod 100.  `out` and `rgb` are views that a
+        # reshape would copy, and the pixels around `out` keep their 7.
+        rng = np.random.default_rng(seed)
+        r, g, b = rng.integers(0, 256, (3, h, w))
+        tie = (-43 * (21 * r + 72 * g + 50)) % 100 + 100 * rng.integers(0, 2, (h, w))
+        b = np.where(rng.random((h, w)) < 0.5, tie, b)
+        rgb = np.stack([r, g, b], axis=-1).astype(np.uint8)
+        rgb = np.stack([rgb, rgb], axis=1)[:, 0]  # rows two apart
+        big = np.full((2 * h + 1, 3 * w + 1), 7, dtype=np.uint8)
+        out = {"rows": big[1 : h + 1, 1 : w + 1], "strided": big[1::2, 1::3],
+               "transposed": big.T[1 : w + 1, 1 : h + 1].T}[layout]
+        imgcore._gray_rows(rgb, out)
+        for i in range(h):
+            for j in range(w):
+                assert out[i, j] == gray_formula(*(int(c) for c in rgb[i, j]))
+        assert np.count_nonzero(big != 7) <= h * w
+        out[...] = 7
+        assert np.all(big == 7)
 
     def test_matches_formula_on_every_triple(self):
         # All 2^24 triples, 16 red levels at a time; the reference is

@@ -220,6 +220,25 @@ class TestOnePassPath:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_tie_colours_gray_into_the_pooled_rows(self):
+        # With p = 1 each block grays straight into its rows of the pooled
+        # array.  Every pixel sits on a .5 tie of the gray formula, where
+        # the float sum rounds some colours down: 7b = -(21r + 72g + 50)
+        # mod 100, and 43 is 7's inverse mod 100.
+        rng = np.random.default_rng(23)
+        r, g = rng.integers(0, 256, (2, 601, 500))
+        b = (-43 * (21 * r + 72 * g + 50)) % 100 + 100 * rng.integers(0, 2, (601, 500))
+        rgb = RgbImage(np.stack([r, g, b], axis=-1))
+        gray = np.floor(0.21 * r + 0.72 * g + 0.07 * b + 0.5).astype(np.uint8)
+        assert 0 < np.count_nonzero(gray < (21 * r + 72 * g + 7 * b + 50) // 100) < gray.size
+        with split_blocks(workers=2), counting_threads() as ran_on:
+            found = outcome(binarize_pooled, rgb, PoolConfig(1))
+        assert len(ran_on) == 2
+        result = otsu_threshold(histogram(GrayImage(gray)))
+        assert np.array_equal(to_gray(rgb).pixels, gray)
+        assert found == outcome(lambda img, cfg: (binarize(to_gray(img), result.threshold),
+                                                  result), rgb, PoolConfig(1))
+
     def test_error_order_matches_reference(self):
         # a constant 2x2 photo is both degenerate and too small to pool
         for img in (GrayImage(np.full((2, 2), 9)), RgbImage(np.full((2, 2, 3), 9)),

@@ -17,7 +17,9 @@ from shadowprune.threshold import (
 from shadowprune.imgcore import GrayImage
 from shadowprune.pooling import PoolConfig, binarize_pooled
 
-from oracles import global_variance, intra_class_variance, otsu_exhaustive
+# otsu_exact checks the exact tie rule: the float otsu_exhaustive can
+# order two exactly tied splits either way.
+from oracles import global_variance, intra_class_variance, otsu_exact, otsu_exhaustive
 
 
 def gray_row(values) -> GrayImage:
@@ -70,6 +72,13 @@ class TestOtsuExamples:
         with pytest.raises(DegenerateHistogram):
             otsu_threshold(histogram(GrayImage(np.full((3, 3), 128, np.uint8))))
 
+    def test_mirrored_splits_tie_to_smallest_t(self):
+        # {1} | {108, 147, 254} mirrors {1, 108, 147} | {254}: the same
+        # sigma_b2 exactly, which float rounding put on t = 148.
+        r = otsu_threshold(hist_of([1, 108, 147, 254]))
+        assert r.threshold == 2
+        assert (r.w0, r.mu0) == (0.25, 1.0)
+
     def test_result_class_stats(self):
         r = otsu_threshold(hist_of([0, 0, 0, 255, 255]))
         assert abs(r.w0 + r.w1 - 1.0) < 1e-12
@@ -96,9 +105,33 @@ class TestOtsuProperties:
         if np.count_nonzero(h.counts) < 2:
             return
         r = otsu_threshold(h)
-        t_oracle, obj_oracle = otsu_exhaustive(h.counts)
-        assert r.threshold == t_oracle
+        _, obj_oracle = otsu_exhaustive(h.counts)
+        # The float oracle's t may differ from the exact one on a tie.
+        assert r.threshold == otsu_exact(h.counts)
         assert r.max_objective == pytest.approx(obj_oracle, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 1 << 16), min_size=128, max_size=128))
+    def test_mirror_symmetric_histogram_matches_exact_oracle(self, half):
+        # counts[i] == counts[255 - i], so t and 256 - t tie exactly.
+        counts = np.array(half + half[::-1], dtype=np.int64)
+        if np.count_nonzero(counts) < 2:
+            return
+        r = otsu_threshold(Histogram(counts, int(counts.sum())))
+        assert r.threshold == otsu_exact(counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 255), min_size=2, max_size=2, unique=True),
+           st.lists(st.integers(1, 12_000_000), min_size=2, max_size=2),
+           st.lists(st.integers(0, 3), min_size=256, max_size=256))
+    def test_two_spike_histogram_matches_exact_oracle(self, levels, spikes, floor):
+        # Two spikes of up to 12-MP counts over a sparse floor, mirrored
+        # or not: 12-MP sums overflow int64 in the exact comparison.
+        counts = np.array(floor, dtype=np.int64)
+        counts[levels] += spikes
+        for c in (counts, counts + counts[::-1]):
+            r = otsu_threshold(Histogram(c, int(c.sum())))
+            assert r.threshold == otsu_exact(c)
 
     @settings(max_examples=40, deadline=None)
     @given(random_histograms())
