@@ -2,10 +2,12 @@
 
 Pipeline: grayscale -> Otsu threshold -> patch pooling (p = 1 is off)
 -> two features (black pixel rate, grid uniformity) -> min-max scaling
--> SVM.  Extracted features live only in a FeatureTable: (n, 2) float64
-rows with their ids and labels, one row per photo from extract_dataset,
-one per tree from FeatureTable.per_tree.  Normalizer.transform is the
-one scaling step.
+-> SVM.  binarize_pooled is the one image path: it takes a photo or an
+image file through the first three steps in one pass.  Extracted
+features live only in a FeatureTable: (n, 2) float64 rows with their
+ids and labels, one row per photo from extract_dataset, one per tree
+from FeatureTable.per_tree.  Normalizer.transform is the one scaling
+step, and decision_values scores a batch of raw rows with a model.
 """
 
 from .errors import (
@@ -48,9 +50,7 @@ from .imgcore import (
     decode_image,
     encode_pgm,
     encode_ppm,
-    load_image,
     save_pgm,
-    to_gray,
 )
 from .pipeline import (
     EvalReport,
@@ -65,15 +65,13 @@ from .pipeline import (
     split,
     write_features_csv,
 )
-from .pooling import PoolConfig, binarize_pooled, pool
+from .pooling import PoolConfig, binarize_pooled
 from .svm import (
     SvmModel,
     TrainConfig,
     TrainingSet,
-    decision_value,
     decision_values,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -82,7 +80,6 @@ from .threshold import (
     Histogram,
     OtsuResult,
     binarize,
-    histogram,
     otsu_threshold,
 )
 

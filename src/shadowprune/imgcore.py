@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import MalformedFile, UnsupportedFormat
-from .fileio import FileReader, read_file, write_file
+from .fileio import FileReader, write_file
 
 # Channel weights of the grayscale conversion, in (r, g, b) order.
 GRAY_WEIGHTS = (0.21, 0.72, 0.07)
@@ -123,32 +123,21 @@ class BinaryImage(GrayImage):
             raise ValueError("binary pixels must be exactly 0 or 255")
 
 
-def to_gray(img: RgbImage | GrayImage) -> GrayImage:
-    """Convert RGB to grayscale as floor(0.21 r + 0.72 g + 0.07 b + 0.5) per pixel.
-
-    The sum is taken in float64, left to right, so the weights' binary
-    rounding decides the exact .5 ties: most round up, some round down.
-    Equal-channel pixels (v, v, v) map back to v for every v in [0, 255].
-    A GrayImage is already gray and comes back unchanged.
-    """
-    if isinstance(img, GrayImage):
-        return img
-    out = np.empty((img.height, img.width), dtype=np.uint8)
-    _gray_rows(img.pixels, out)
-    return GrayImage._trusted(out)
-
-
 def _gray_rows(rgb: np.ndarray, out: np.ndarray) -> None:
     """Write the grayscale of (h, w, 3) pixels into the (h, w) uint8 `out`.
 
-    The result is `to_gray`'s float64 formula, computed in integers:
-    s = 21 r + 72 g + 7 b + 50 is at most 25,550, so it fits in uint16,
-    and s // 100 is the float formula's floor on every colour except
-    the exact .5 ties, where s % 100 == 0.  Only those pixels, 1% of
-    all colours, re-run the float64 expression with the same operations
-    in the same order.  They are read from `rgb` and written to `out` by
-    row and column, so either may be any view.  Gray (h, w) pixels are
-    copied.
+    Each pixel's gray level is floor(0.21 r + 0.72 g + 0.07 b + 0.5),
+    the sum taken in float64, left to right, so the weights' binary
+    rounding decides the exact .5 ties: most round up, some round down.
+    Equal-channel pixels (v, v, v) map back to v for every v in [0, 255].
+
+    It is computed in integers: s = 21 r + 72 g + 7 b + 50 is at most
+    25,550, so it fits in uint16, and s // 100 is the float formula's
+    floor on every colour except the exact .5 ties, where s % 100 == 0.
+    Only those pixels, 1% of all colours, re-run the float64 expression
+    with the same operations in the same order.  They are read from
+    `rgb` and written to `out` by row and column, so either may be any
+    view.  Gray (h, w) pixels are copied.
     """
     if rgb.ndim == 2:
         out[...] = rgb
@@ -392,11 +381,6 @@ def encode_ppm(img: RgbImage, raw: bool = True) -> bytes:
         " ".join(str(v) for v in row.reshape(-1)) for row in img.pixels
     )
     return (header + rows + "\n").encode("ascii")
-
-
-def load_image(path: str | Path) -> RgbImage | GrayImage:
-    """Read and decode an image file; filesystem errors raise IoError."""
-    return decode_image(read_file(path, "image"))
 
 
 def save_pgm(path: str | Path, img: GrayImage, raw: bool = True) -> None:

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateHistogram,
     DuplicatePhotoId,
     InsufficientData,
     InvalidConfig,
@@ -198,10 +197,7 @@ def extract_point_features(
     point: SamplePoint, pool_cfg: PoolConfig, grid_cfg: GridConfig
 ) -> np.ndarray:
     """decode -> gray -> threshold -> pool -> features for one photo."""
-    try:
-        binary, _ = binarize_pooled(point.image_path, pool_cfg)
-    except DegenerateHistogram as exc:
-        raise DegenerateHistogram(f"{exc} (photo_id={point.photo_id})") from exc
+    binary, _ = binarize_pooled(point.image_path, pool_cfg)
     return extract_features(binary, effective_grid(grid_cfg, pool_cfg))
 
 
@@ -215,7 +211,8 @@ def extract_dataset(
     Rows come tree by tree in record order, each under its tree's label.
     A failing image fails only its tree: the (tree_id, reason) pairs of
     the skipped trees come back beside the table, so reports can list
-    them.  With no tree left, the table is empty.
+    them, each reason ending in the failing photo's " (photo_id=...)".
+    With no tree left, the table is empty.
     """
     tree_ids: list[str] = []
     photo_ids: list[str] = []
@@ -223,15 +220,18 @@ def extract_dataset(
     y: list[int] = []
     failures: list[tuple[str, str]] = []
     for rec in records:
-        try:
-            rows = [extract_point_features(p, pool_cfg, grid_cfg) for p in rec.points]
-        except ShadowPruneError as exc:
-            failures.append((rec.tree_id, str(exc)))
-            continue
-        tree_ids += [rec.tree_id] * len(rows)
-        photo_ids += [p.photo_id for p in rec.points]
-        x += rows
-        y += [rec.label] * len(rows)
+        rows = []
+        for point in rec.points:
+            try:
+                rows.append(extract_point_features(point, pool_cfg, grid_cfg))
+            except ShadowPruneError as exc:
+                failures.append((rec.tree_id, f"{exc} (photo_id={point.photo_id})"))
+                break
+        else:
+            tree_ids += [rec.tree_id] * len(rows)
+            photo_ids += [p.photo_id for p in rec.points]
+            x += rows
+            y += [rec.label] * len(rows)
     return FeatureTable(tree_ids, photo_ids, np.reshape(x, (-1, N_FEATURES)), y), failures
 
 
@@ -363,12 +363,10 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Report plus the trained models and raw predictions on the test trees."""
+    """Report plus the trained models, None for a config that failed."""
 
     report: EvalReport
     models: tuple[SvmModel | None, ...]
-    test: FeatureTable
-    predictions: tuple[tuple[int, ...] | None, ...]
 
 
 def run_experiment(
@@ -398,7 +396,6 @@ def run_experiment(
 
     entries: list[ModelEval] = []
     models: list[SvmModel | None] = []
-    predictions: list[tuple[int, ...] | None] = []
     for cfg in configs:
         try:
             model = train(tset, cfg).with_context(
@@ -410,7 +407,6 @@ def run_experiment(
                           accuracy=None, error=str(exc))
             )
             models.append(None)
-            predictions.append(None)
             continue
         preds = tuple(decision_label(v) for v in decision_values(model, test.x).tolist())
         tp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 1)
@@ -430,7 +426,6 @@ def run_experiment(
             )
         )
         models.append(model)
-        predictions.append(preds)
 
     report = EvalReport(
         n_train=len(train_rows),
@@ -442,12 +437,7 @@ def run_experiment(
         entries=tuple(entries),
         failed_trees=tuple(failed_trees),
     )
-    return ExperimentResult(
-        report=report,
-        models=tuple(models),
-        test=test,
-        predictions=tuple(predictions),
-    )
+    return ExperimentResult(report=report, models=tuple(models))
 
 
 def write_features_csv(path: str | Path, table: FeatureTable) -> None:

@@ -14,7 +14,6 @@ for the same reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,20 +29,17 @@ COLOR_BOUNDARY = "#63b3ed"
 COLOR_MARGIN = "#ed8936"
 COLOR_RING = "#1a202c"
 
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """Canvas geometry and axis labels."""
-
-    width: int = 640
-    height: int = 480
-    margin_left: int = 70
-    margin_right: int = 20
-    margin_top: int = 20
-    margin_bottom: int = 50
-    x_label: str = "uniformity"
-    y_label: str = "black pixels rate"
-    pad_fraction: float = 0.05
+# Canvas geometry and axis labels.
+WIDTH = 640
+HEIGHT = 480
+MARGIN_LEFT = 70
+MARGIN_RIGHT = 20
+MARGIN_TOP = 20
+MARGIN_BOTTOM = 50
+X_LABEL = "uniformity"
+Y_LABEL = "black pixels rate"
+# Share of each axis's data span left empty beyond its extreme points.
+PAD_FRACTION = 0.05
 
 
 def _padded_range(values: np.ndarray, pad: float) -> tuple[float, float]:
@@ -111,9 +107,7 @@ def _clip_line(
     return best
 
 
-def render_svg(
-    table: FeatureTable, model: SvmModel, spec: PlotSpec = PlotSpec()
-) -> str:
+def render_svg(table: FeatureTable, model: SvmModel) -> str:
     """Build the complete SVG document as a string."""
     if model.support_x.shape[1] != 2:
         raise DimensionMismatch(
@@ -124,16 +118,16 @@ def render_svg(
 
     rates = table.x[:, 0]
     unifs = table.x[:, 1]
-    x_lo, x_hi = _padded_range(unifs, spec.pad_fraction)
-    y_lo, y_hi = _padded_range(rates, spec.pad_fraction)
+    x_lo, x_hi = _padded_range(unifs, PAD_FRACTION)
+    y_lo, y_hi = _padded_range(rates, PAD_FRACTION)
 
-    plot_w = spec.width - spec.margin_left - spec.margin_right
-    plot_h = spec.height - spec.margin_top - spec.margin_bottom
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     ax = plot_w / (x_hi - x_lo)
-    bx = spec.margin_left - ax * x_lo
+    bx = MARGIN_LEFT - ax * x_lo
     # screen y grows downward; flip the data axis
     ay = -plot_h / (y_hi - y_lo)
-    by = (spec.margin_top + plot_h) - ay * y_lo
+    by = (MARGIN_TOP + plot_h) - ay * y_lo
 
     def sx(x: float) -> float:
         return ax * x + bx
@@ -144,42 +138,42 @@ def render_svg(
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     out.append(
         f"<!-- data-to-screen: x_screen = {ax!r} * x + {bx!r}; "
         f"y_screen = {ay!r} * y + {by!r} -->"
     )
-    out.append(f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>')
+    out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(
-        f'<rect x="{spec.margin_left}" y="{spec.margin_top}" '
+        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" '
         f'width="{plot_w}" height="{plot_h}" fill="none" stroke="#a0aec0"/>'
     )
 
     # axis labels and extremes
-    mid_x = spec.margin_left + plot_w / 2
-    mid_y = spec.margin_top + plot_h / 2
+    mid_x = MARGIN_LEFT + plot_w / 2
+    mid_y = MARGIN_TOP + plot_h / 2
     out.append(
-        f'<text x="{mid_x:.1f}" y="{spec.height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{spec.x_label}</text>'
+        f'<text x="{mid_x:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{X_LABEL}</text>'
     )
     out.append(
         f'<text x="16" y="{mid_y:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 16 {mid_y:.1f})">{spec.y_label}</text>'
+        f'transform="rotate(-90 16 {mid_y:.1f})">{Y_LABEL}</text>'
     )
     tick = (
         '<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" '
         'font-family="sans-serif" font-size="11" fill="#4a5568">{val}</text>'
     )
-    out.append(tick.format(x=spec.margin_left, y=spec.height - 32,
+    out.append(tick.format(x=MARGIN_LEFT, y=HEIGHT - 32,
                            anchor="middle", val=f"{x_lo:.4g}"))
-    out.append(tick.format(x=spec.margin_left + plot_w, y=spec.height - 32,
+    out.append(tick.format(x=MARGIN_LEFT + plot_w, y=HEIGHT - 32,
                            anchor="middle", val=f"{x_hi:.4g}"))
-    out.append(tick.format(x=spec.margin_left - 6, y=spec.margin_top + plot_h,
+    out.append(tick.format(x=MARGIN_LEFT - 6, y=MARGIN_TOP + plot_h,
                            anchor="end", val=f"{y_lo:.4g}"))
-    out.append(tick.format(x=spec.margin_left - 6, y=spec.margin_top + 10,
+    out.append(tick.format(x=MARGIN_LEFT - 6, y=MARGIN_TOP + 10,
                            anchor="end", val=f"{y_hi:.4g}"))
 
     if model.kernel == KERNEL_LINEAR:
@@ -225,10 +219,5 @@ def render_svg(
     return "\n".join(out) + "\n"
 
 
-def write_svg(
-    path: str | Path,
-    table: FeatureTable,
-    model: SvmModel,
-    spec: PlotSpec = PlotSpec(),
-) -> None:
-    write_file(path, render_svg(table, model, spec), "SVG")
+def write_svg(path: str | Path, table: FeatureTable, model: SvmModel) -> None:
+    write_file(path, render_svg(table, model), "SVG")

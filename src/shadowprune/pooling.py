@@ -1,13 +1,18 @@
 """Patch pooling, and the one image path from a photo to a pooled binary.
 
-Each p x p patch collapses to one output pixel, its maximum.  Trailing
-rows/columns that do not fill a whole patch are dropped (floor edges).
-On a binary image a patch holding any white (255) pixel becomes white,
-an all-black patch black (0).
+A colour pixel (r, g, b) has the gray level
+floor(0.21 r + 0.72 g + 0.07 b + 0.5) (see `imgcore._gray_rows`); a
+gray photo's pixels are their own gray levels.  With t the Otsu
+threshold of the histogram of every gray level, a pixel is white (255)
+when its gray level is >= t and black (0) otherwise, and the pooled
+binary image holds the maximum of each p x p patch of those pixels.
+Trailing rows/columns that do not fill a whole patch are dropped (floor
+edges): a patch holding any white pixel becomes white, an all-black
+patch black.  p = 1 keeps every pixel, which is pooling off.
 
-Thresholding is monotone, so it commutes with the patch maximum:
-pool(binarize(g, t)) == binarize(pool(g), t) for every gray image g,
-threshold t and factor p (the threshold decomposition of stack
+Thresholding is monotone, so it commutes with the patch maximum: a
+patch is white exactly when its brightest gray level is >= t, for every
+photo, threshold and factor (the threshold decomposition of stack
 filters).  `binarize_pooled` therefore pools the gray image and
 thresholds only the pooled pixels; a photo's BinaryImage exists only at
 the pooled size.  Otsu's threshold still comes from the histogram of
@@ -53,29 +58,8 @@ class PoolConfig:
             raise InvalidConfig(f"pool factor must be >= 1, got {self.p}")
 
 
-def pool(img: GrayImage, cfg: PoolConfig = PoolConfig()) -> GrayImage:
-    """Downscale by cfg.p, keeping each patch's maximum.
-
-    A binary image stays binary: a patch is white iff any pixel is.
-    p = 1 passes the image through unchanged.  Raises ImageTooSmall
-    when the image cannot supply one full patch.
-    """
-    factor = cfg.p
-    out_h = img.height // factor
-    out_w = img.width // factor
-    if out_h == 0 or out_w == 0:
-        raise ImageTooSmall(
-            f"{img.height}x{img.width} image has no full {factor}x{factor} patch"
-        )
-    if factor == 1:
-        return img
-    out = np.empty((out_h, out_w), dtype=np.uint8)
-    _max_pool_rows(img.pixels, factor, out)
-    return type(img)._trusted(out)
-
-
 def _max_pool_rows(src: np.ndarray, p: int, out: np.ndarray) -> None:
-    """Write the maximum of each p x p patch of `src` into `out`.
+    """Write the maximum of each p x p patch of `src` into `out`, for p >= 2.
 
     `out` fixes how many patches are taken; rows and columns of `src`
     past them are ignored.
@@ -96,10 +80,12 @@ def binarize_pooled(
 ) -> tuple[BinaryImage, OtsuResult]:
     """Gray, Otsu-threshold and pool a photo, or the image file at a path, in one pass.
 
-    Equal to pool(binarize(g, t), cfg) with g = to_gray(img) and t the
-    Otsu threshold of histogram(g), for img the photo or
-    load_image(path), and raises what that chain raises, in the same
-    order.  The image is walked in blocks of whole patch rows; each
+    The pooled binary image of the module docstring, with cfg.p as p,
+    and the OtsuResult of its threshold.  For a path, the photo is the
+    file's decoded image.  Raises, in this order: what decoding raises,
+    EmptyImage for an image without pixels, DegenerateHistogram for one
+    of a single gray level, and ImageTooSmall when no full p x p patch
+    fits.  The image is walked in blocks of whole patch rows; each
     block is converted to gray (colour only), counted into the
     histogram and max-pooled into its own rows of the pooled array.
     Neither the full-size gray image of a colour photo nor a full-size

@@ -81,10 +81,6 @@ class TrainingSet:
         return self.x.shape[0]
 
     @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-    @property
     def has_both_labels(self) -> bool:
         return bool(np.any(self.y > 0) and np.any(self.y < 0))
 
@@ -198,22 +194,9 @@ def decision_values(model: SvmModel, x) -> np.ndarray:
         return np.array([_decide(model, row) for row in z], dtype=np.float64)
 
 
-def decision_value(model: SvmModel, x) -> float:
-    """f(x) for one raw feature row, through decision_values.
-
-    Its sign picks the class; |f|/||w|| is the linear-kernel distance.
-    """
-    return float(decision_values(model, [x])[0])
-
-
 def decision_label(value: float) -> int:
     """Class of a decision value; the boundary itself (f = 0) counts as +1."""
     return 1 if value >= 0.0 else -1
-
-
-def predict(model: SvmModel, x) -> int:
-    """Class label of x, `decision_label` of its decision value."""
-    return decision_label(decision_value(model, x))
 
 
 def _kernel_matrix(x: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
@@ -423,16 +406,6 @@ def train(data: TrainingSet, cfg: TrainConfig = TrainConfig()) -> SvmModel:
             )
         smo.take_step(*pair)
     return _build_model(smo, data, cfg, gamma)
-
-
-def margin(model: SvmModel) -> float:
-    """Geometric margin 2/||w|| of a linear model."""
-    if model.kernel != KERNEL_LINEAR:
-        raise ValueError("margin is defined for the linear kernel only")
-    norm = float(np.linalg.norm(model.w))
-    if norm == 0.0:
-        raise NumericError("zero weight vector has no margin")
-    return 2.0 / norm
 
 
 # --- persistence ------------------------------------------------------------

@@ -122,13 +122,6 @@ def _window(c: float, r: float, n: int) -> slice:
     return slice(max(0, math.ceil(c - r - 1.5)), min(n, math.floor(c + r + 0.5) + 1))
 
 
-def ellipse_mask(
-    height: int, width: int, cx: float, cy: float, rx: float, ry: float
-) -> np.ndarray:
-    """Boolean mask of pixel centers inside an axis-aligned ellipse."""
-    return _inside(_centers(height)[:, None], _centers(width)[None, :], cx, cy, rx, ry)
-
-
 def render_image(
     mask: np.ndarray,
     shadow_mean: int,

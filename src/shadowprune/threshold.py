@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHistogram, EmptyImage
+from .errors import DegenerateHistogram
 from .imgcore import BinaryImage, GrayImage
 
 LEVELS = 256
@@ -84,13 +84,6 @@ class OtsuResult:
             f"otsu threshold={self.threshold} w0={self.w0!r} w1={self.w1!r} "
             f"mu0={self.mu0!r} mu1={self.mu1!r} sigma_b2={self.max_objective!r}"
         )
-
-
-def histogram(img: GrayImage) -> Histogram:
-    """Count pixels per intensity level."""
-    if img.pixel_count == 0:
-        raise EmptyImage("cannot histogram an empty image")
-    return Histogram(_count_levels(img.pixels), img.pixel_count)
 
 
 def _count_levels(pixels: np.ndarray) -> np.ndarray:

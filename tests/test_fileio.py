@@ -6,6 +6,7 @@ import ast
 import os
 import stat
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from shadowprune.fileio import FileReader, write_file
 
 FILE_CALLS = {"open", "write_text", "write_bytes", "read_text", "read_bytes",
               "pread", "preadv", "mmap"}
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_failed_rename_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
@@ -149,6 +152,77 @@ def test_no_module_keeps_process_state():
         if (found := _process_state(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert offenders == {}
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read in a parsed node, as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """'a.b.c' of a chain of names and attributes, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and (base := _dotted(node.value)):
+        return f"{base}.{node.attr}"
+    return None
+
+
+def _script_reads(tree: ast.AST) -> set[str]:
+    """Names a script imports from shadowprune or reads off a shadowprune module."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shadowprune"):
+            names |= {alias.name for alias in node.names}
+            modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.startswith("shadowprune")}
+    return names | {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and _dotted(node.value) in modules}
+
+
+def _unreferenced(package: dict[str, str], scripts: list[str]) -> list[str]:
+    """module.name of each public top-level function or class that nothing reads.
+
+    `package` maps module names to sources.  A read counts from any
+    module but __init__, outside the definition itself, and from a
+    script that imports the name or reads it off a shadowprune module.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = sum((_reads(tree) for module, tree in trees.items() if module != "__init__"),
+                Counter())
+    for source in scripts:
+        reads.update(_script_reads(ast.parse(source)))
+    return [f"{module}.{node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and reads[node.name] == _reads(node)[node.name]]
+
+
+def test_reference_guard_counts_reads_from_outside_the_definition():
+    package = {
+        "__init__": "from .a import exported\n",
+        "a": ("def exported():\n    return exported()\n"
+              "def called(): pass\nclass Read: pass\ndef _private(): pass\n"
+              "def scripted(): pass\ndef imported(): pass\n"),
+        "b": "from . import a\nfrom .a import called\ncalled()\nx = a.Read\n",
+    }
+    scripts = ["from shadowprune import a\na.scripted()\n",
+               "from shadowprune.a import imported\n"]
+    assert _unreferenced(package, scripts) == ["a.exported"]
+
+
+def test_no_public_function_or_class_is_left_to_tests_alone():
+    package = Path(shadowprune.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    scripts = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    assert _unreferenced(sources, scripts) == []
 
 
 def test_positional_reads_stop_at_the_end_and_name_the_file(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Image types, grayscale conversion, and the netpbm codec."""
+"""Image types, the grayscale kernel, and the netpbm codec."""
 
 from __future__ import annotations
 
@@ -19,10 +19,9 @@ from shadowprune.imgcore import (
     decode_image,
     encode_pgm,
     encode_ppm,
-    load_image,
     save_pgm,
-    to_gray,
 )
+from shadowprune.pooling import binarize_pooled
 
 # gray_formula's docstring names the float rounding of the .5 ties, some
 # of which round down; test_gray_rows_into_any_view puts half its pixels
@@ -157,26 +156,33 @@ class TestImageTypes:
         assert (img.height, img.width, img.pixel_count) == (3, 5, 15)
 
 
+def gray_of(img: RgbImage) -> np.ndarray:
+    """The gray levels the image path computes for a colour image."""
+    out = np.empty((img.height, img.width), dtype=np.uint8)
+    imgcore._gray_rows(img.pixels, out)
+    return out
+
+
 class TestToGray:
     def test_black_and_white_pixels(self):
         img = rgb_of((0, 0, 0), (255, 255, 255))
-        assert to_gray(img).pixels.tolist() == [[0, 255]]
+        assert gray_of(img).tolist() == [[0, 255]]
 
     def test_direct_substitution(self):
         # 0.21*100 + 0.72*50 + 0.07*200 = 21 + 36 + 14 = 71
         img = rgb_of((100, 50, 200))
-        assert to_gray(img).pixels[0, 0] == 71
+        assert gray_of(img)[0, 0] == 71
 
     def test_gray_triples_fixed_for_all_levels(self):
         vals = np.arange(256, dtype=np.uint8)
         img = RgbImage(np.repeat(vals, 3).reshape(1, 256, 3))
-        assert np.array_equal(to_gray(img).pixels[0], vals)
+        assert np.array_equal(gray_of(img)[0], vals)
 
     def test_matches_formula_on_random_triples(self):
         rng = np.random.default_rng(20240811)
         trip = rng.integers(0, 256, size=(1000, 3))
         img = RgbImage(trip.reshape(1, 1000, 3).astype(np.uint8))
-        got = to_gray(img).pixels[0]
+        got = gray_of(img)[0]
         for k in range(1000):
             assert got[k] == gray_formula(*trip[k])
 
@@ -191,12 +197,12 @@ class TestToGray:
     def test_monotone_in_every_channel(self, a, b):
         hi = tuple(max(x, y) for x, y in zip(a, b))
         img = rgb_of(a, hi)
-        g = to_gray(img).pixels[0]
+        g = gray_of(img)[0]
         assert g[1] >= g[0]
 
     def test_dimensions_preserved(self):
         img = RgbImage(np.zeros((4, 7, 3), dtype=np.uint8))
-        assert to_gray(img).pixels.shape == (4, 7)
+        assert gray_of(img).shape == (4, 7)
 
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1),
            st.sampled_from(["rows", "strided", "transposed"]))
@@ -235,7 +241,7 @@ class TestToGray:
             px[:, :, 0] = r
             px[:, :, 1] = g
             px[:, :, 2] = b
-            got = to_gray(RgbImage(px)).pixels
+            got = gray_of(RgbImage(px))
             want = np.clip(np.floor(0.21 * r + 0.72 * g + 0.07 * b + 0.5), 0, 255)
             assert np.array_equal(got, want), f"red levels {r0}..{r0 + 15}"
 
@@ -278,7 +284,7 @@ class TestDecode:
 
     def test_header_comments_skipped(self):
         img = decode_image(b"P2\n# a comment\n1 2\n# another\n255\n5\n6\n")
-        assert to_gray(img).pixels.tolist() == [[5], [6]]
+        assert isinstance(img, GrayImage) and img.pixels.tolist() == [[5], [6]]
 
     def test_plain_samples_are_python_integers(self):
         # a comment ends a sample; a sign, an underscore and leading zeros
@@ -299,7 +305,6 @@ class TestDecode:
         assert isinstance(img, GrayImage)
         assert img.pixels.dtype == np.uint8
         assert img.pixels.tolist() == [[9, 200]]
-        assert to_gray(img) is img
 
     @pytest.mark.parametrize("raw", [True, False])
     @pytest.mark.parametrize(
@@ -402,8 +407,8 @@ class TestRoundTrips:
     def test_pgm_round_trip(self, h, w, raw, seed):
         rng = np.random.default_rng(seed)
         img = GrayImage(rng.integers(0, 256, size=(h, w)).astype(np.uint8))
-        back = to_gray(decode_image(encode_pgm(img, raw=raw)))
-        assert np.array_equal(back.pixels, img.pixels)
+        back = decode_image(encode_pgm(img, raw=raw))
+        assert isinstance(back, GrayImage) and np.array_equal(back.pixels, img.pixels)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
     def test_ppm_round_trip(self, h, w, raw, seed):
@@ -418,8 +423,8 @@ class TestFileIo:
         img = GrayImage(np.array([[0, 128], [255, 7]], dtype=np.uint8))
         path = tmp_path / "x.pgm"
         save_pgm(path, img)
-        assert np.array_equal(to_gray(load_image(path)).pixels, img.pixels)
+        assert np.array_equal(decode_image(path.read_bytes()).pixels, img.pixels)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
-            load_image(tmp_path / "nothing.pgm")
+            binarize_pooled(tmp_path / "nothing.pgm")

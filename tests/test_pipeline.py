@@ -38,7 +38,7 @@ from shadowprune.pipeline import (
     write_features_csv,
 )
 from shadowprune.pooling import PoolConfig
-from shadowprune.svm import TrainConfig
+from shadowprune.svm import TrainConfig, serialize_model
 
 NO_POOL = PoolConfig(1)
 
@@ -221,8 +221,28 @@ class TestExtraction:
 
     def test_degenerate_image_names_photo(self, tmp_path):
         pt = SamplePoint("t1", "p77", tmp_path / flat_pgm(tmp_path))
-        with pytest.raises(DegenerateHistogram, match="p77"):
+        with pytest.raises(DegenerateHistogram):
             extract_point_features(pt, NO_POOL, GridConfig(10))
+        _, failures = extract_dataset([TreeRecord("t1", 1, (pt,))], NO_POOL, GridConfig(10))
+        assert failures == [("t1", "histogram has fewer than two occupied intensity"
+                                   " levels (photo_id=p77)")]
+
+    def test_every_skipped_tree_names_its_failing_photo(self, tmp_path):
+        good = put_image(tmp_path, "good.pgm")
+        (tmp_path / "header.pgm").write_bytes(b"P5\n60 x\n255\n" + bytes(3600))
+        (tmp_path / "short.pgm").write_bytes(encode_pgm(bimodal_image(0.3))[:100])
+        records = [
+            TreeRecord(tree_id, 1, tuple(SamplePoint(tree_id, f"p{i}", tmp_path / name)
+                                         for i, name in enumerate(names)))
+            for tree_id, names in (("t1", (good, "header.pgm", good)),
+                                   ("t2", (good, good, "short.pgm")))
+        ]
+        table, failures = extract_dataset(records, NO_POOL, GridConfig(10))
+        assert len(table) == 0
+        assert failures == [
+            ("t1", "bad height token b'x' (photo_id=p1)"),
+            ("t2", "raw raster truncated: expected 3600 bytes, found 87 (photo_id=p2)"),
+        ]
 
     def test_tolerant_extraction_skips_bad_tree(self, tmp_path):
         good = put_image(tmp_path, "good.pgm", rate=0.3)
@@ -382,7 +402,6 @@ class TestRunExperiment:
         )
         report = result.report
         assert report.n_train == 6 and report.n_test == 4
-        assert len(result.test) == 4
         for e in report.entries:
             assert e.accuracy == 1.0
             assert e.tp + e.tn + e.fp + e.fn == report.n_test
@@ -400,9 +419,9 @@ class TestRunExperiment:
         by_photo = run_experiment(photos, configs)
         by_tree = run_experiment(photos.per_tree(), configs)
         assert by_photo.report.to_kv() == by_tree.report.to_kv()
-        assert by_photo.test.tree_ids == by_tree.test.tree_ids
-        assert len(set(by_photo.test.tree_ids)) == by_photo.report.n_test == 4
-        assert by_photo.predictions == by_tree.predictions
+        assert by_photo.report.n_test == 4
+        assert ([serialize_model(m) for m in by_photo.models]
+                == [serialize_model(m) for m in by_tree.models])
 
     def test_failed_config_is_isolated(self):
         result = run_experiment(
@@ -413,13 +432,14 @@ class TestRunExperiment:
         ok, broken = result.report.entries
         assert ok.accuracy == 1.0
         assert broken.accuracy is None and broken.error is not None
-        assert result.models[1] is None and result.predictions[1] is None
+        assert result.models[1] is None
         assert "FAILED" in result.report.to_text()
 
     def test_normalizer_ignores_test_rows(self):
         table = self.separable_table()
         first = run_experiment(table, [TrainConfig(kernel="linear")])
-        moved = table.tree_ids.index(first.test.tree_ids[0])
+        _, test = split(table, SplitSpec())
+        moved = table.tree_ids.index(test.tree_ids[0])
         x = table.x.copy()
         x[moved] = (0.99, 400.0)
         bumped = FeatureTable(table.tree_ids, table.photo_ids, x, table.y)

@@ -11,8 +11,8 @@ import pytest
 from shadowprune.errors import DimensionMismatch, IoError
 from shadowprune.features import Normalizer
 from shadowprune.pipeline import FeatureTable
-from shadowprune.plotting import PlotSpec, render_svg, write_svg
-from shadowprune.svm import TrainConfig, TrainingSet, decision_value, train
+from shadowprune.plotting import render_svg, write_svg
+from shadowprune.svm import TrainConfig, TrainingSet, decision_values, train
 
 _FLOAT = r"[-+0-9.eE]+"
 TRANSFORM_RE = re.compile(
@@ -101,7 +101,7 @@ class TestLinearPlot:
         for line_id, level in (("boundary", 0.0), ("margin-plus", 1.0),
                                ("margin-minus", -1.0)):
             for unif, rate in line_endpoints_data(svg, line_id):
-                f = decision_value(model, np.array([rate, unif]))
+                f = decision_values(model, [[rate, unif]])[0]
                 assert f == pytest.approx(level, abs=1e-6)
 
     def test_normalized_model_lines_in_raw_space(self):
@@ -115,7 +115,7 @@ class TestLinearPlot:
         )
         svg = render_svg(table(raw, [1, 1, -1, -1]), model)
         for unif, rate in line_endpoints_data(svg, "boundary"):
-            f = decision_value(model, np.array([rate, unif]))
+            f = decision_values(model, [[rate, unif]])[0]
             assert f == pytest.approx(0.0, abs=1e-6)
 
     def test_support_vector_rings(self):
@@ -139,7 +139,7 @@ class TestLinearPlot:
         assert not any(el.get("id") == "boundary" for el in elements(svg, "line"))
 
     def test_axis_labels_present(self):
-        svg = render_svg(toy_rows(), toy_model(), PlotSpec())
+        svg = render_svg(toy_rows(), toy_model())
         texts = [el.text for el in elements(svg, "text")]
         assert "uniformity" in texts
         assert "black pixels rate" in texts

@@ -1,6 +1,7 @@
 """Patch pooling: the sum-cutoff rule, sizes, max-pool equivalence, and
-the one-pass image path checked against the chain it replaces, on
-decoded images and on image files read by rows."""
+the one-pass image path checked against its definition, built from
+none of its kernels, on decoded images and on image files read by
+rows."""
 
 from __future__ import annotations
 
@@ -20,57 +21,69 @@ from hypothesis import strategies as st
 
 from shadowprune import imgcore, pooling
 from shadowprune.cli import main
-from shadowprune.errors import ImageTooSmall, InvalidConfig, ShadowPruneError
+from shadowprune.errors import EmptyImage, ImageTooSmall, InvalidConfig, ShadowPruneError
 from shadowprune.features import GridConfig, extract_features
 from shadowprune.fileio import FileReader
-from shadowprune.imgcore import (BinaryImage, GrayImage, RgbImage, encode_pgm, encode_ppm,
-                                 load_image, to_gray)
+from shadowprune.imgcore import (BinaryImage, GrayImage, RgbImage, decode_image, encode_pgm,
+                                 encode_ppm)
 from shadowprune.pipeline import SamplePoint, extract_point_features
-from shadowprune.pooling import PoolConfig, binarize_pooled, pool
-from shadowprune.threshold import _count_levels, binarize, histogram, otsu_threshold
+from shadowprune.pooling import PoolConfig, binarize_pooled
+from shadowprune.threshold import Histogram, _count_levels, binarize, otsu_threshold
 
 from oracles import max_pool_reference
 
 
-def binary(arr) -> BinaryImage:
-    return BinaryImage(np.array(arr, dtype=np.uint8))
+def binary(arr) -> np.ndarray:
+    return BinaryImage(np.array(arr, dtype=np.uint8)).pixels
 
 
 def random_binary(rng, h, w) -> BinaryImage:
     return BinaryImage((rng.random((h, w)) < 0.5).astype(np.uint8) * 255)
 
 
+def max_pool(px: np.ndarray, p: int) -> np.ndarray:
+    """The patch maxima binarize_pooled makes of px: its kernel for p >= 2,
+    every pixel kept for p = 1."""
+    if p == 1:
+        return px
+    out = np.empty((px.shape[0] // p, px.shape[1] // p), dtype=np.uint8)
+    pooling._max_pool_rows(px, p, out)
+    return out
+
+
 class TestPatchRule:
     def test_all_black_patch(self):
-        out = pool(binary(np.zeros((3, 3))), PoolConfig(p=3))
-        assert out.pixels.tolist() == [[0]]
+        assert max_pool(binary(np.zeros((3, 3))), 3).tolist() == [[0]]
 
     def test_single_white_pixel_wins(self):
         px = np.zeros((3, 3))
         px[1, 2] = 255
-        out = pool(binary(px), PoolConfig(p=3))
-        assert out.pixels.tolist() == [[255]]
+        assert max_pool(binary(px), 3).tolist() == [[255]]
 
     def test_half_and_half_six_by_six(self):
         px = np.zeros((6, 6))
         px[:, :3] = 255
-        out = pool(binary(px), PoolConfig(p=3))
-        assert out.pixels.tolist() == [[255, 0], [255, 0]]
+        assert max_pool(binary(px), 3).tolist() == [[255, 0], [255, 0]]
 
     def test_p1_is_identity(self):
+        # a binary photo's own threshold gives its pixels back
         rng = np.random.default_rng(5)
         img = random_binary(rng, 4, 7)
-        assert np.array_equal(pool(img, PoolConfig(p=1)).pixels, img.pixels)
+        out, _ = binarize_pooled(img, PoolConfig(p=1))
+        assert np.array_equal(out.pixels, img.pixels)
 
     def test_disabled_config_passes_through(self):
+        # with pooling off every gray pixel is thresholded where it is
         rng = np.random.default_rng(6)
-        img = random_binary(rng, 5, 5)
-        out = pool(img, PoolConfig(p=1))
-        assert out is img
+        img = GrayImage(rng.integers(0, 256, (5, 5)))
+        out, result = binarize_pooled(img, PoolConfig(p=1))
+        assert np.array_equal(out.pixels, np.where(img.pixels >= result.threshold, 255, 0))
 
     def test_too_small_image(self):
+        px = np.zeros((2, 9), dtype=np.uint8)
+        px[0, 0] = 255
         with pytest.raises(ImageTooSmall):
-            pool(binary(np.zeros((2, 9))), PoolConfig(p=3))
+            binarize_pooled(BinaryImage(px), PoolConfig(p=3))
 
     def test_invalid_factor(self):
         with pytest.raises(InvalidConfig):
@@ -81,15 +94,17 @@ class TestSizeContract:
     @given(st.integers(1, 20), st.integers(1, 20), st.sampled_from([1, 2, 3, 5]))
     @settings(max_examples=60, deadline=None)
     def test_floor_dimensions(self, h, w, p):
-        if h < p or w < p:
+        if h < p or w < p or h * w < 2:
             return
         rng = np.random.default_rng(h * 100 + w * 10 + p)
-        out = pool(random_binary(rng, h, w), PoolConfig(p=p))
+        px = random_binary(rng, h, w).pixels.copy()
+        px.flat[0], px.flat[-1] = 0, 255  # two levels, so Otsu has a threshold
+        out, _ = binarize_pooled(BinaryImage(px), PoolConfig(p=p))
         assert out.pixels.shape == (h // p, w // p)
 
     def test_area_one_ninth_on_multiples_of_three(self):
         rng = np.random.default_rng(9)
-        out = pool(random_binary(rng, 9, 12), PoolConfig(p=3))
+        out, _ = binarize_pooled(random_binary(rng, 9, 12), PoolConfig(p=3))
         assert out.pixel_count * 9 == 9 * 12
 
 
@@ -101,8 +116,7 @@ class TestMaxPoolEquivalence:
         h = int(rng.integers(p, 16))
         w = int(rng.integers(p, 16))
         img = random_binary(rng, h, w)
-        out = pool(img, PoolConfig(p=p))
-        assert np.array_equal(out.pixels, max_pool_reference(img.pixels, p))
+        assert np.array_equal(max_pool(img.pixels, p), max_pool_reference(img.pixels, p))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -110,20 +124,33 @@ class TestMaxPoolEquivalence:
         # flipping one source pixel to white never turns output black
         rng = np.random.default_rng(seed)
         img = random_binary(rng, 9, 9)
-        before = pool(img, PoolConfig(p=3)).pixels
+        before = max_pool(img.pixels, 3)
         px = img.pixels.copy()
         i = int(rng.integers(9))
         j = int(rng.integers(9))
         px[i, j] = 255
-        after = pool(BinaryImage(px), PoolConfig(p=3)).pixels
+        after = max_pool(BinaryImage(px).pixels, 3)
         assert np.all(after >= before)
 
 
 def reference_path(img, cfg):
-    """The chain binarize_pooled replaces: full-size gray, binarize, then pool."""
-    gray = to_gray(img)
-    result = otsu_threshold(histogram(gray))
-    return pool(binarize(gray, result.threshold), cfg), result
+    """binarize_pooled by its definition, from none of its gray, histogram
+    or pool kernels: the float64 gray formula and np.bincount at full size,
+    Otsu and binarize, then the looped max-pool oracle; and its errors, in
+    its order."""
+    px = img.pixels.astype(np.float64)
+    if px.ndim == 3:
+        r, g, b = px[:, :, 0], px[:, :, 1], px[:, :, 2]
+        px = np.floor(0.21 * r + 0.72 * g + 0.07 * b + 0.5)
+    gray = px.astype(np.uint8)
+    if gray.size == 0:
+        raise EmptyImage("cannot histogram an empty image")
+    result = otsu_threshold(Histogram(np.bincount(gray.ravel(), minlength=256), gray.size))
+    (h, w), p = gray.shape, cfg.p
+    if h < p or w < p:
+        raise ImageTooSmall(f"{h}x{w} image has no full {p}x{p} patch")
+    binary = binarize(GrayImage(gray), result.threshold)
+    return BinaryImage(max_pool_reference(binary.pixels, p)), result
 
 
 def outcome(path, img, cfg):
@@ -234,9 +261,8 @@ class TestOnePassPath:
         with split_blocks(workers=2), counting_threads() as ran_on:
             found = outcome(binarize_pooled, rgb, PoolConfig(1))
         assert len(ran_on) == 2
-        result = otsu_threshold(histogram(GrayImage(gray)))
-        assert np.array_equal(to_gray(rgb).pixels, gray)
-        assert found == outcome(lambda img, cfg: (binarize(to_gray(img), result.threshold),
+        result = otsu_threshold(Histogram(np.bincount(gray.ravel(), minlength=256), gray.size))
+        assert found == outcome(lambda img, cfg: (binarize(GrayImage(gray), result.threshold),
                                                   result), rgb, PoolConfig(1))
 
     def test_error_order_matches_reference(self):
@@ -251,7 +277,7 @@ class TestOnePassPath:
 
 def decoded_file(path, cfg):
     """The file decoded whole, then walked as an image: what reading by rows replaces."""
-    return binarize_pooled(load_image(path), cfg)
+    return binarize_pooled(decode_image(path.read_bytes()), cfg)
 
 
 @st.composite

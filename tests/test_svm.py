@@ -31,12 +31,10 @@ from shadowprune.svm import (
     SvmModel,
     TrainConfig,
     TrainingSet,
-    decision_value,
+    decision_label,
     decision_values,
     deserialize_model,
     load_model,
-    margin,
-    predict,
     save_model,
     serialize_model,
     train,
@@ -92,22 +90,21 @@ class TestToyGeometry:
         m = train(two_point_set(), HARD)
         w = m.w / np.linalg.norm(m.w)
         assert w == pytest.approx([np.sqrt(0.5), np.sqrt(0.5)], abs=1e-6)
-        assert decision_value(m, [0.5, 0.5]) == pytest.approx(0.0, abs=1e-9)
-        assert margin(m) == pytest.approx(np.sqrt(2.0), rel=1e-6)
+        assert decision_values(m, [[0.5, 0.5]])[0] == pytest.approx(0.0, abs=1e-9)
+        assert 2 / np.linalg.norm(m.w) == pytest.approx(np.sqrt(2.0), rel=1e-6)
 
     def test_four_point_axis_aligned(self):
         m = train(four_point_set(), HARD)
         assert m.w[1] == pytest.approx(0.0, abs=1e-6)
         # boundary at x1 = 1: f(1, anything) = 0
-        assert decision_value(m, [1.0, 0.3]) == pytest.approx(0.0, abs=1e-6)
-        assert margin(m) == pytest.approx(2.0, rel=1e-6)
+        assert decision_values(m, [[1.0, 0.3]])[0] == pytest.approx(0.0, abs=1e-6)
+        assert 2 / np.linalg.norm(m.w) == pytest.approx(2.0, rel=1e-6)
 
     def test_two_point_predictions(self):
         m = train(two_point_set(), HARD)
-        assert predict(m, [0.0, 0.0]) == -1
-        assert predict(m, [1.0, 1.0]) == 1
-        # exactly on the boundary: documented sign(0) = +1 rule
-        assert predict(m, [0.5, 0.5]) == 1
+        values = decision_values(m, [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+        # the last is exactly on the boundary: documented sign(0) = +1 rule
+        assert [decision_label(v) for v in values] == [-1, 1, 1]
 
     def test_two_point_support_vectors(self):
         data = two_point_set()
@@ -120,8 +117,8 @@ class TestToyGeometry:
     def test_support_vector_decision_is_unit(self):
         data = four_point_set()
         m = train(data, HARD)
-        for i in range(data.n):
-            assert abs(decision_value(m, data.x[i])) == pytest.approx(1.0, abs=1e-4)
+        for value in decision_values(m, data.x):
+            assert abs(value) == pytest.approx(1.0, abs=1e-4)
 
     def test_single_class_rejected(self):
         data = TrainingSet(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
@@ -137,7 +134,7 @@ class TestOracleAgreement:
         oracle = hard_margin_oracle(data.x, data.y)
         assert oracle is not None
         m = train(data, HARD)
-        assert margin(m) == pytest.approx(oracle[2], rel=1e-4)
+        assert 2 / np.linalg.norm(m.w) == pytest.approx(oracle[2], rel=1e-4)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -173,8 +170,9 @@ class TestKktAndDual:
         data = TrainingSet(x, y)
         alpha = alphas_of(model, data)
         slack = 1e-9 + 1e-6 * c
+        values = decision_values(model, x)
         for i in range(n):
-            yf = y[i] * decision_value(model, x[i])
+            yf = y[i] * values[i]
             if alpha[i] <= slack:
                 assert yf >= 1.0 - cfg.tolerance - 1e-7
             elif alpha[i] >= c - slack:
@@ -209,8 +207,8 @@ class TestSymmetries:
         m1 = train(data, TrainConfig(kernel="linear", C=5.0))
         m2 = train(flipped, TrainConfig(kernel="linear", C=5.0))
         probes = np.random.default_rng(seed + 1).normal(size=(20, 2))
-        for p in probes:
-            assert predict(m1, p) == -predict(m2, p)
+        for v1, v2 in zip(decision_values(m1, probes), decision_values(m2, probes)):
+            assert decision_label(v1) == -decision_label(v2)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["linear", "rbf"]))
@@ -224,19 +222,16 @@ class TestSymmetries:
         m1 = train(data, cfg)
         m2 = train(swapped, cfg)
         probes = np.random.default_rng(seed + 9).normal(size=(20, 2))
-        for p in probes:
-            assert decision_value(m1, p) == pytest.approx(
-                decision_value(m2, p[::-1]), abs=1e-4
-            )
+        assert decision_values(m1, probes) == pytest.approx(
+            decision_values(m2, probes[:, ::-1]), abs=1e-4
+        )
 
     def test_doubling_c_keeps_separable_signs(self):
         data = separable_set(77)
         m1 = train(data, TrainConfig(kernel="linear", C=100.0))
         m2 = train(data, TrainConfig(kernel="linear", C=200.0))
-        for i in range(data.n):
-            s1 = np.sign(decision_value(m1, data.x[i]))
-            s2 = np.sign(decision_value(m2, data.x[i]))
-            assert s1 == s2
+        assert np.array_equal(np.sign(decision_values(m1, data.x)),
+                              np.sign(decision_values(m2, data.x)))
 
     def test_rbf_small_gamma_approaches_linear(self):
         # flat-kernel limit: rescale C by 1/gamma so the fit stays expressive
@@ -252,7 +247,8 @@ class TestSymmetries:
         data = TrainingSet(x, y)
         lin = train(data, TrainConfig(kernel="linear", C=10.0))
         rbf = train(data, TrainConfig(kernel="rbf", C=1e3, gamma=1e-2))
-        agree = sum(predict(lin, x[i]) == predict(rbf, x[i]) for i in range(n))
+        agree = sum(decision_label(a) == decision_label(b) for a, b in
+                    zip(decision_values(lin, x), decision_values(rbf, x)))
         assert agree / n >= 0.95
 
 
@@ -521,16 +517,14 @@ class TestPersistence:
         grid = [
             (a / 9.0, b / 9.0) for a in range(10) for b in range(10)
         ]
-        for p in grid:
-            assert decision_value(back, list(p)) == decision_value(m, list(p))
+        assert decision_values(back, grid).tolist() == decision_values(m, grid).tolist()
 
     def test_rbf_round_trip(self, tmp_path):
         data = separable_set(321, n_cap=20)
         m = train(data, TrainConfig(kernel="rbf", C=4.0))
         save_model(m, tmp_path / "r.model")
         back = load_model(tmp_path / "r.model")
-        for i in range(data.n):
-            assert decision_value(back, data.x[i]) == decision_value(m, data.x[i])
+        assert decision_values(back, data.x).tolist() == decision_values(m, data.x).tolist()
 
     def test_unknown_version(self):
         text = serialize_model(train(two_point_set(), HARD))
@@ -652,13 +646,13 @@ class TestDecisionValues:
         queries = rng.uniform(-2.0, 3.0, size=(40, 2))
         batch = decision_values(model, queries)
         assert batch.shape == (40,)
-        assert batch.tolist() == [decision_value(model, q) for q in queries]
+        assert batch.tolist() == [decision_values(model, [q])[0] for q in queries]
         labels = [1 if v >= 0 else -1 for v in batch]
-        assert [predict(model, q) for q in queries] == labels
+        assert [decision_label(v) for v in batch] == labels
 
     def test_wrong_width_rejected(self):
         model = train(two_point_set(), HARD)
         with pytest.raises(DimensionMismatch):
             decision_values(model, np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
-            decision_value(model, [0.5, 0.5, 0.5])
+            decision_values(model, [[0.5, 0.5, 0.5]])

@@ -19,15 +19,20 @@ from shadowprune.synth import (
     REGIME_POOR,
     GenResult,
     SynthConfig,
+    _centers,
+    _inside,
     default_config,
-    ellipse_mask,
     generate,
     generate_dataset,
     render_image,
 )
-from shadowprune.threshold import binarize, otsu_threshold, histogram
 
 from oracles import hard_margin_oracle
+
+
+def ellipse_mask(height, width, cx, cy, rx, ry) -> np.ndarray:
+    """Pixel centers inside an axis-aligned ellipse, by the generator's own test."""
+    return _inside(_centers(height)[:, None], _centers(width)[None, :], cx, cy, rx, ry)
 
 
 class TestConfigValidation:
@@ -133,7 +138,7 @@ class TestGenerate:
         result = generate(cfg)
         assert int(np.unique(result.image.pixels).size) == 1
         with pytest.raises(DegenerateHistogram):
-            otsu_threshold(histogram(result.image))
+            binarize_pooled(result.image)
 
     def test_result_carries_label(self):
         assert generate(default_config(REGIME_GOOD)).label == 1

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowprune.errors import DegenerateHistogram, EmptyImage
-from shadowprune.threshold import (
-    Histogram,
-    binarize,
-    histogram,
-    otsu_threshold,
-)
+from shadowprune.threshold import Histogram, _count_levels, binarize, otsu_threshold
 from shadowprune.imgcore import GrayImage
 from shadowprune.pooling import PoolConfig, binarize_pooled
 
@@ -27,24 +22,26 @@ def gray_row(values) -> GrayImage:
 
 
 def hist_of(values) -> Histogram:
-    return histogram(gray_row(values))
+    px = np.asarray(values, dtype=np.uint8)
+    return Histogram(np.bincount(px.ravel(), minlength=256), px.size)
 
 
 class TestHistogram:
     def test_direct_count(self):
-        h = hist_of([0, 0, 255, 255])
+        px = np.array([[0, 0, 255, 255]], dtype=np.uint8)
+        h = Histogram(_count_levels(px), px.size)
         assert h.counts[0] == 2
         assert h.counts[255] == 2
         assert h.total == 4
 
     def test_constant_image(self):
-        h = histogram(GrayImage(np.full((2, 2), 7, dtype=np.uint8)))
+        h = Histogram(_count_levels(np.full((2, 2), 7, dtype=np.uint8)), 4)
         assert h.counts[7] == 4
         assert int(h.counts.sum()) == 4
 
     def test_empty_image(self):
         with pytest.raises(EmptyImage):
-            histogram(GrayImage(np.zeros((0, 0), dtype=np.uint8)))
+            binarize_pooled(GrayImage(np.zeros((0, 0), dtype=np.uint8)))
 
     def test_probabilities_sum_to_one(self):
         h = hist_of([3, 9, 9, 17, 200])
@@ -70,7 +67,7 @@ class TestOtsuExamples:
 
     def test_constant_raises(self):
         with pytest.raises(DegenerateHistogram):
-            otsu_threshold(histogram(GrayImage(np.full((3, 3), 128, np.uint8))))
+            otsu_threshold(hist_of(np.full((3, 3), 128)))
 
     def test_mirrored_splits_tie_to_smallest_t(self):
         # {1} | {108, 147, 254} mirrors {1, 108, 147} | {254}: the same
@@ -101,7 +98,7 @@ class TestOtsuProperties:
     def test_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         img = GrayImage(rng.integers(0, 256, size=(16, 16)).astype(np.uint8))
-        h = histogram(img)
+        h = hist_of(img.pixels)
         if np.count_nonzero(h.counts) < 2:
             return
         r = otsu_threshold(h)
@@ -162,14 +159,14 @@ class TestOtsuProperties:
         base = rng.integers(0, 150, size=(8, 8)).astype(np.uint8)
         if len(np.unique(base)) < 2:
             return
-        t0 = otsu_threshold(histogram(GrayImage(base))).threshold
-        t1 = otsu_threshold(histogram(GrayImage(base + shift))).threshold
+        t0 = otsu_threshold(hist_of(base)).threshold
+        t1 = otsu_threshold(hist_of(base + shift)).threshold
         assert t1 == t0 + shift
 
     def test_mean_decomposition_at_every_valid_t(self):
         rng = np.random.default_rng(7)
         img = GrayImage(rng.integers(0, 256, size=(16, 16)).astype(np.uint8))
-        h = histogram(img)
+        h = hist_of(img.pixels)
         mu_t = float((np.arange(256) * h.probabilities).sum())
         p = h.probabilities
         for t in range(1, 256):
