@@ -12,8 +12,10 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import DataError, InsufficientData, InvalidConfig, NumericError, ShadowPruneError
-from .features import GridConfig, fit_normalizer
+import numpy as np
+
+from .errors import DataError, InvalidConfig, NumericError, ShadowPruneError
+from .features import DEFAULT_GRID_EDGE, GridConfig, fit_normalizer
 from .fileio import csv_text, write_file
 from .imgcore import save_pgm
 from .pipeline import (
@@ -24,9 +26,11 @@ from .pipeline import (
     run_experiment,
     write_features_csv,
 )
-from .pooling import PoolConfig, binarize_pooled
+from .pooling import DEFAULT_POOL_FACTOR, PoolConfig, binarize_pooled
 from .plotting import write_svg
 from .svm import (
+    DEFAULT_C,
+    DEFAULT_TOLERANCE,
     KERNELS,
     TrainConfig,
     TrainingSet,
@@ -51,8 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_pool_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pool-factor", type=int, default=3, metavar="P",
-                   help="patch edge for pooling (default 3)")
+    p.add_argument("--pool-factor", type=int, default=DEFAULT_POOL_FACTOR, metavar="P",
+                   help=f"patch edge for pooling (default {DEFAULT_POOL_FACTOR})")
     p.add_argument("--no-pool", action="store_true",
                    help="skip the pooling stage (the same as --pool-factor 1)")
 
@@ -85,8 +89,8 @@ def _build_parser() -> _Parser:
     p.add_argument("manifest", help="dataset manifest CSV")
     p.add_argument("output", help="features CSV path")
     _add_pool_flags(p)
-    p.add_argument("--grid", type=int, default=100, metavar="EDGE",
-                   help="counting grid edge before pooling (default 100)")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_EDGE, metavar="EDGE",
+                   help=f"counting grid edge before pooling (default {DEFAULT_GRID_EDGE})")
     p.add_argument("--per-tree", action="store_true",
                    help="one aggregated row per tree instead of per photo")
     p.set_defaults(func=cmd_extract)
@@ -95,12 +99,13 @@ def _build_parser() -> _Parser:
     p.add_argument("features", help="features CSV (typically per-tree rows)")
     p.add_argument("output", help="model file path")
     p.add_argument("--kernel", choices=KERNELS, default="linear")
-    p.add_argument("--c", type=float, default=1.0, metavar="C",
-                   help="soft-margin penalty (default 1.0)")
+    p.add_argument("--c", type=float, default=DEFAULT_C, metavar="C",
+                   help=f"soft-margin penalty (default {DEFAULT_C})")
     p.add_argument("--gamma", type=float, default=None,
                    help="RBF width (default: 1/(n_features*Var))")
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="solver stopping tolerance (default 1e-4)")
+    tol_text = np.format_float_scientific(DEFAULT_TOLERANCE, trim="-", exp_digits=1)  # not 0.0001
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                   help=f"solver stopping tolerance (default {tol_text})")
     p.add_argument("--max-iter", type=int, default=None,
                    help="solver step budget (default 10*n*1000)")
     p.set_defaults(func=cmd_train)
@@ -115,12 +120,12 @@ def _build_parser() -> _Parser:
                        help="manifest -> split, train, test accuracy report")
     p.add_argument("manifest", help="dataset manifest CSV")
     _add_pool_flags(p)
-    p.add_argument("--grid", type=int, default=100, metavar="EDGE")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_EDGE, metavar="EDGE")
     p.add_argument("--kernel", choices=KERNELS + ("both",), default="both",
                    help="kernel(s) to fit (default both)")
-    p.add_argument("--train-fraction", type=float, default=0.6)
-    p.add_argument("--c", type=float, default=1.0, metavar="C")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
+    p.add_argument("--c", type=float, default=DEFAULT_C, metavar="C")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--report", help="also write the key-value report here")
     p.add_argument("--save-model", help="save the winning model here")
     p.set_defaults(func=cmd_evaluate)
@@ -185,7 +190,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         max_iterations=args.max_iter,
     )
     tset = TrainingSet(nz.transform(table.x), table.y)
-    model = train(tset, cfg).with_context(normalizer=nz)
+    model = dataclasses.replace(train(tset, cfg), normalizer=nz)
     save_model(model, args.output)
     print(
         f"trained {args.kernel} model on {len(table)} rows "
@@ -218,30 +223,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     configs = [
         TrainConfig(kernel=k, C=args.c, tolerance=args.tol) for k in kernels
     ]
-    try:
-        result = run_experiment(
-            table, configs, split_spec, pool_cfg, grid_cfg, failed_trees=failures
-        )
-    except InsufficientData as exc:
-        if not failures:
-            raise
-        # The report that would list the skipped trees is never written.
-        tree_id, reason = failures[0]
-        raise InsufficientData(
-            f"{exc}; skipped trees: {len(failures)}, first {tree_id}: {reason}"
-        ) from exc
-    print(result.report.to_text(), end="")
+    report = run_experiment(table, configs, split_spec, pool_cfg, grid_cfg, failures)
+    print(report.to_text(), end="")
     if args.report:
-        write_file(args.report, result.report.to_kv(), "report")
+        write_file(args.report, report.to_kv(), "report")
         _note(args, f"wrote report to {args.report}")
     if args.save_model:
-        best = result.report.best()
+        best = report.best()
         if best is None:
             raise DataError("no model trained successfully; nothing to save")
-        idx = next(
-            i for i, e in enumerate(result.report.entries) if e is best
-        )
-        save_model(result.models[idx], args.save_model)
+        save_model(best.model, args.save_model)
         _note(args, f"saved {best.kernel} model to {args.save_model}")
     return 0
 

@@ -7,14 +7,15 @@ extraction turns them into a FeatureTable of one row per photo, and a
 tree's row is the arithmetic mean of its photos' rows
 (FeatureTable.per_tree).  Experiments split per-tree rows, fit the
 normalizer on the training side only, train one model per requested
-config on identical splits, and report accuracies side by side.
+config on identical splits, and return one EvalReport: accuracies side
+by side, each entry carrying the model it scored.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -193,14 +194,6 @@ def effective_grid(grid: GridConfig, pool_cfg: PoolConfig) -> GridConfig:
     return GridConfig(max(1, grid.grid_edge // pool_cfg.p))
 
 
-def extract_point_features(
-    point: SamplePoint, pool_cfg: PoolConfig, grid_cfg: GridConfig
-) -> np.ndarray:
-    """decode -> gray -> threshold -> pool -> features for one photo."""
-    binary, _ = binarize_pooled(point.image_path, pool_cfg)
-    return extract_features(binary, effective_grid(grid_cfg, pool_cfg))
-
-
 def extract_dataset(
     records: Iterable[TreeRecord],
     pool_cfg: PoolConfig = PoolConfig(),
@@ -219,11 +212,13 @@ def extract_dataset(
     x: list[np.ndarray] = []
     y: list[int] = []
     failures: list[tuple[str, str]] = []
+    grid = effective_grid(grid_cfg, pool_cfg)
     for rec in records:
         rows = []
         for point in rec.points:
             try:
-                rows.append(extract_point_features(point, pool_cfg, grid_cfg))
+                binary, _ = binarize_pooled(point.image_path, pool_cfg)
+                rows.append(extract_features(binary, grid))
             except ShadowPruneError as exc:
                 failures.append((rec.tree_id, f"{exc} (photo_id={point.photo_id})"))
                 break
@@ -276,7 +271,7 @@ def split(table: FeatureTable, spec: SplitSpec) -> tuple[FeatureTable, FeatureTa
 
 @dataclass(frozen=True)
 class ModelEval:
-    """One trained config's test-set outcome (or its failure)."""
+    """One trained config's test-set outcome and model, or its error and no model."""
 
     kernel: str
     C: float
@@ -287,6 +282,7 @@ class ModelEval:
     fp: int = 0
     fn: int = 0
     error: str | None = None
+    model: SvmModel | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -361,14 +357,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Report plus the trained models, None for a config that failed."""
-
-    report: EvalReport
-    models: tuple[SvmModel | None, ...]
-
-
 def run_experiment(
     table: FeatureTable,
     configs: Sequence[TrainConfig],
@@ -376,17 +364,26 @@ def run_experiment(
     pool_cfg: PoolConfig = PoolConfig(),
     grid_cfg: GridConfig = GridConfig(),
     failed_trees: Sequence[tuple[str, str]] = (),
-) -> ExperimentResult:
+) -> EvalReport:
     """Average per tree, split, normalize on train only, fit every config, score on test.
 
     The split is over per-tree rows (table.per_tree()), so the photos of
-    one tree never land on both sides.  One config failing to train
-    records its error in the report without aborting the others.
-    pool_cfg/grid_cfg describe how the features were extracted and are
-    stamped into the report and models (p = 1 as pooling off);
-    failed_trees lists trees dropped upstream, for the report only.
+    one tree never land on both sides.  Each entry carries its model; a
+    config that fails to train records its error without aborting the
+    others.  pool_cfg/grid_cfg describe how the features were extracted
+    and are stamped into the report and models (p = 1 as pooling off).
+    failed_trees lists trees dropped upstream, in the report and in the
+    InsufficientData raised when too few trees are left to split.
     """
-    train_rows, test = split(table.per_tree(), split_spec)
+    try:
+        train_rows, test = split(table.per_tree(), split_spec)
+    except InsufficientData as exc:
+        if not failed_trees:
+            raise
+        tree_id, reason = failed_trees[0]
+        raise InsufficientData(
+            f"{exc}; skipped trees: {len(failed_trees)}, first {tree_id}: {reason}"
+        ) from exc
     nz = fit_normalizer(train_rows.x)
     tset = TrainingSet(nz.transform(train_rows.x), train_rows.y)
     labels = test.y.tolist()
@@ -395,18 +392,16 @@ def run_experiment(
     pool_factor = pool_cfg.p if pool_cfg.p > 1 else None
 
     entries: list[ModelEval] = []
-    models: list[SvmModel | None] = []
     for cfg in configs:
         try:
-            model = train(tset, cfg).with_context(
-                normalizer=nz, pool_factor=pool_factor, grid_edge=eff_edge
+            model = replace(
+                train(tset, cfg), normalizer=nz, pool_factor=pool_factor, grid_edge=eff_edge
             )
         except ShadowPruneError as exc:
             entries.append(
                 ModelEval(kernel=cfg.kernel, C=cfg.C, gamma=cfg.gamma,
                           accuracy=None, error=str(exc))
             )
-            models.append(None)
             continue
         preds = tuple(decision_label(v) for v in decision_values(model, test.x).tolist())
         tp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 1)
@@ -423,11 +418,11 @@ def run_experiment(
                 tn=tn,
                 fp=fp,
                 fn=fn,
+                model=model,
             )
         )
-        models.append(model)
 
-    report = EvalReport(
+    return EvalReport(
         n_train=len(train_rows),
         n_test=len(test),
         seed=split_spec.seed,
@@ -437,7 +432,6 @@ def run_experiment(
         entries=tuple(entries),
         failed_trees=tuple(failed_trees),
     )
-    return ExperimentResult(report=report, models=tuple(models))
 
 
 def write_features_csv(path: str | Path, table: FeatureTable) -> None:

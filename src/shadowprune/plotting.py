@@ -115,6 +115,8 @@ def render_svg(table: FeatureTable, model: SvmModel) -> str:
         )
     if len(table) == 0:
         raise DimensionMismatch("plotting needs at least one feature row")
+    # before _raw_space_line, so a zero-span normalizer raises, not warns
+    values = decision_values(model, table.x).tolist()
 
     rates = table.x[:, 0]
     unifs = table.x[:, 1]
@@ -199,7 +201,6 @@ def render_svg(table: FeatureTable, model: SvmModel) -> str:
         out.append("<!-- no boundary line: rbf kernel has no linear separator -->")
 
     points = list(zip(table.x.tolist(), table.y.tolist()))
-    values = decision_values(model, table.x).tolist()
     # support vector rings under the data points
     for ((rate, unif), label), f in zip(points, values):
         if label * f <= 1.0 + model.tolerance:

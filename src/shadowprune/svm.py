@@ -15,7 +15,6 @@ it is deterministic for fixed data and config.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,10 +46,6 @@ _ALPHA_FLOOR = 1e-12
 
 # Curvature used for a pair whose kernel curvature is not positive.
 _TAU = 1e-12
-
-# Coefficients within this fraction of C from 0 or C are put on the bound,
-# so that a rounding error does not leave a row counted as free.
-_BOUND_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,8 @@ class SvmModel:
     alpha_i * y_i; the linear kernel additionally collapses them into w.
     The embedded normalizer, when present, maps raw features into model
     space before evaluation.  pool_factor / grid_edge document how the
-    training features were produced.
+    training features were produced.  train leaves these three None, and
+    callers that know them set them with dataclasses.replace.
     """
 
     kernel: str
@@ -154,17 +150,6 @@ class SvmModel:
             w = np.asarray(self.w, dtype=np.float64)
             w.setflags(write=False)
             object.__setattr__(self, "w", w)
-
-    def with_context(
-        self,
-        normalizer: Normalizer | None = None,
-        pool_factor: int | None = None,
-        grid_edge: int | None = None,
-    ) -> "SvmModel":
-        """Attach pipeline provenance without retraining."""
-        return dataclasses.replace(
-            self, normalizer=normalizer, pool_factor=pool_factor, grid_edge=grid_edge
-        )
 
 
 def _decide(model: SvmModel, z: np.ndarray) -> float:
@@ -276,13 +261,6 @@ class _Smo:
         self.kkt_gap = math.inf
         self.steps = 0
 
-    def _snap(self, a: float) -> float:
-        if a < _BOUND_EPS * self.C:
-            return 0.0
-        if a > (1.0 - _BOUND_EPS) * self.C:
-            return self.C
-        return a
-
     def _place(self, k: int, v: float) -> None:
         """Enter v_k into v_up and v_low after row k's alpha changed."""
         a, C = self.alpha[k], self.C
@@ -316,15 +294,19 @@ class _Smo:
         """Move y_i·alpha_i up and y_j·alpha_j down by the same t.
 
         This keeps sum(alpha·y) fixed; t is the exact minimizer gap/curv,
-        cut where either coefficient reaches its bound.
+        cut where either coefficient reaches its bound.  A row whose room
+        cut the step lands exactly on that bound; any other new alpha is
+        clamped into [0, C], which rounding could leave.
         """
-        yi, yj = self.y[i], self.y[j]
+        yi, yj, C = self.y[i], self.y[j], self.C
         ai, aj = self.alpha[i], self.alpha[j]
-        room_i = self.C - ai if yi > 0.0 else ai
-        room_j = aj if yj > 0.0 else self.C - aj
+        room_i = C - ai if yi > 0.0 else ai
+        room_j = aj if yj > 0.0 else C - aj
         t = min(gap / curv, room_i, room_j)
-        self.alpha[i] = new_i = self._snap(ai + yi * t)
-        self.alpha[j] = new_j = self._snap(aj - yj * t)
+        new_i = (C if yi > 0.0 else 0.0) if t == room_i else ai + yi * t
+        new_j = (0.0 if yj > 0.0 else C) if t == room_j else aj - yj * t
+        self.alpha[i] = new_i = 0.0 if new_i < 0.0 else C if new_i > C else new_i
+        self.alpha[j] = new_j = 0.0 if new_j < 0.0 else C if new_j > C else new_j
         d = (yi * (new_i - ai)) * self.K[i] + (yj * (new_j - aj)) * self.K[j]
         self.v_up -= d
         self.v_low -= d

@@ -230,19 +230,18 @@ def synthetic_experiment(tmp_path_factory):
     manifest = generate_dataset(out, n_trees=100, points_per_tree=10, seed=0)
     table, failures = extract_dataset(ingest(manifest))
     assert failures == []
-    result = run_experiment(
+    report = run_experiment(
         table,
         [TrainConfig(kernel="linear"), TrainConfig(kernel="rbf")],
         SplitSpec(train_fraction=0.6, seed=0),
     )
     elapsed = time.perf_counter() - start
-    return manifest, table, result, elapsed
+    return manifest, table, report, elapsed
 
 
 def test_07_end_to_end_synthetic_run(synthetic_experiment):
     # 100 trees, 60/40 stratified split, linear accuracy >= 0.90, < 60 s
-    _, _, result, elapsed = synthetic_experiment
-    report = result.report
+    _, _, report, elapsed = synthetic_experiment
     problems = []
     if (report.n_train, report.n_test) != (60, 40):
         problems.append(f"split {report.n_train}/{report.n_test}, wanted 60/40")
@@ -273,12 +272,12 @@ def test_08_shuffled_label_null(synthetic_experiment):
         rng = np.random.default_rng(800 + seed)
         shuffled = FeatureTable(trees.tree_ids, trees.photo_ids, trees.x,
                                 rng.permutation(trees.y))
-        result = run_experiment(
+        report = run_experiment(
             shuffled,
             [TrainConfig(kernel="linear")],
             SplitSpec(train_fraction=0.6, seed=seed),
         )
-        accuracies.append(result.report.entries[0].accuracy)
+        accuracies.append(report.entries[0].accuracy)
     mean = float(np.mean(accuracies))
     problems = []
     if not 0.35 <= mean <= 0.65:
@@ -304,10 +303,10 @@ def test_09_deterministic_reruns(synthetic_experiment, tmp_path):
     )
     problems = []
     for tag, run in (("first", first), ("second", second)):
-        (tmp_path / f"{tag}.kv").write_text(run.report.to_kv(), encoding="utf-8")
-        for i, model in enumerate(run.models):
+        (tmp_path / f"{tag}.kv").write_text(run.to_kv(), encoding="utf-8")
+        for i, entry in enumerate(run.entries):
             (tmp_path / f"{tag}-{i}.model").write_text(
-                serialize_model(model), encoding="utf-8"
+                serialize_model(entry.model), encoding="utf-8"
             )
     if (tmp_path / "first.kv").read_bytes() != (tmp_path / "second.kv").read_bytes():
         problems.append("evaluation reports differ between runs")

@@ -304,9 +304,7 @@ class TestTrainPredict:
         assert code == 2
         assert "cannot write predictions" in capsys.readouterr().err
 
-    def test_zero_span_normalizer_in_model_is_numeric_error(
-        self, tree_csv, tmp_path, capsys
-    ):
+    def test_zero_span_normalizer_in_model_is_numeric_error(self, tree_csv, tmp_path):
         model_path = tmp_path / "m.model"
         assert main(["train", str(tree_csv), str(model_path)]) == 0
         lines = model_path.read_text().splitlines()
@@ -317,11 +315,17 @@ class TestTrainPredict:
                 maxs[1] = mins[1]
                 lines[i] = " ".join(maxs)
         model_path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main(["predict", str(model_path), str(tree_csv)]) == 3
-        captured = capsys.readouterr()
-        assert "zero training span for feature(s): black_pixel_rate" in captured.err
-        assert "inf" not in captured.out and "nan" not in captured.out
+        svg = tmp_path / "m.svg"
+        # in a child process, so that a numpy warning would reach its stderr
+        for argv in (["predict", str(model_path), str(tree_csv)],
+                     ["plot", str(tree_csv), str(model_path), str(svg)]):
+            proc = subprocess.run([sys.executable, "-m", "shadowprune.cli", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 3
+            assert proc.stderr == ("error: zero training span for feature(s): "
+                                   "black_pixel_rate\n")
+            assert "inf" not in proc.stdout and "nan" not in proc.stdout
+        assert not svg.exists()
 
     def test_non_finite_bias_in_model_is_data_error(self, tree_csv, tmp_path, capsys):
         model_path = tmp_path / "m.model"

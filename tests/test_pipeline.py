@@ -30,14 +30,13 @@ from shadowprune.pipeline import (
     TreeRecord,
     effective_grid,
     extract_dataset,
-    extract_point_features,
     ingest,
     read_features_csv,
     run_experiment,
     split,
     write_features_csv,
 )
-from shadowprune.pooling import PoolConfig
+from shadowprune.pooling import PoolConfig, binarize_pooled
 from shadowprune.svm import TrainConfig, serialize_model
 
 NO_POOL = PoolConfig(1)
@@ -189,8 +188,8 @@ class TestExtraction:
     def test_point_rate_is_exact(self, tmp_path):
         name = put_image(tmp_path, "x.pgm", rate=0.25)
         pt = SamplePoint("t1", "p1", tmp_path / name)
-        fv = extract_point_features(pt, NO_POOL, GridConfig(10))
-        assert fv[0] == 0.25
+        table, _ = extract_dataset([TreeRecord("t1", 1, (pt,))], NO_POOL, GridConfig(10))
+        assert table.x[0, 0] == 0.25
 
     def test_tree_mean_of_two_points(self, tmp_path):
         a = put_image(tmp_path, "a.pgm", rate=0.2)
@@ -222,7 +221,7 @@ class TestExtraction:
     def test_degenerate_image_names_photo(self, tmp_path):
         pt = SamplePoint("t1", "p77", tmp_path / flat_pgm(tmp_path))
         with pytest.raises(DegenerateHistogram):
-            extract_point_features(pt, NO_POOL, GridConfig(10))
+            binarize_pooled(pt.image_path, NO_POOL)
         _, failures = extract_dataset([TreeRecord("t1", 1, (pt,))], NO_POOL, GridConfig(10))
         assert failures == [("t1", "histogram has fewer than two occupied intensity"
                                    " levels (photo_id=p77)")]
@@ -396,11 +395,10 @@ class TestRunExperiment:
                           + [(f"b{i}", -1, 0.50 + 0.01 * i, 250.0 + i) for i in range(5)])
 
     def test_separable_scores_perfectly(self):
-        result = run_experiment(
+        report = run_experiment(
             self.separable_table(),
             [TrainConfig(kernel="linear"), TrainConfig(kernel="rbf")],
         )
-        report = result.report
         assert report.n_train == 6 and report.n_test == 4
         for e in report.entries:
             assert e.accuracy == 1.0
@@ -418,68 +416,80 @@ class TestRunExperiment:
         configs = [TrainConfig(kernel="linear"), TrainConfig(kernel="rbf")]
         by_photo = run_experiment(photos, configs)
         by_tree = run_experiment(photos.per_tree(), configs)
-        assert by_photo.report.to_kv() == by_tree.report.to_kv()
-        assert by_photo.report.n_test == 4
-        assert ([serialize_model(m) for m in by_photo.models]
-                == [serialize_model(m) for m in by_tree.models])
+        assert by_photo.to_kv() == by_tree.to_kv()
+        assert by_photo.n_test == 4
+        assert ([serialize_model(e.model) for e in by_photo.entries]
+                == [serialize_model(e.model) for e in by_tree.entries])
 
     def test_failed_config_is_isolated(self):
-        result = run_experiment(
+        report = run_experiment(
             self.separable_table(),
             [TrainConfig(kernel="linear"),
              TrainConfig(kernel="linear", max_iterations=1)],
         )
-        ok, broken = result.report.entries
+        ok, broken = report.entries
         assert ok.accuracy == 1.0
         assert broken.accuracy is None and broken.error is not None
-        assert result.models[1] is None
-        assert "FAILED" in result.report.to_text()
+        assert broken.model is None and ok.model is not None
+        assert report.best().model is ok.model
+        assert "FAILED" in report.to_text()
 
     def test_normalizer_ignores_test_rows(self):
         table = self.separable_table()
-        first = run_experiment(table, [TrainConfig(kernel="linear")])
+        first = run_experiment(table, [TrainConfig(kernel="linear")]).entries[0].model
         _, test = split(table, SplitSpec())
         moved = table.tree_ids.index(test.tree_ids[0])
         x = table.x.copy()
         x[moved] = (0.99, 400.0)
         bumped = FeatureTable(table.tree_ids, table.photo_ids, x, table.y)
-        second = run_experiment(bumped, [TrainConfig(kernel="linear")])
-        assert first.models[0].normalizer.mins == second.models[0].normalizer.mins
-        assert first.models[0].normalizer.maxs == second.models[0].normalizer.maxs
+        second = run_experiment(bumped, [TrainConfig(kernel="linear")]).entries[0].model
+        assert first.normalizer.mins == second.normalizer.mins
+        assert first.normalizer.maxs == second.normalizer.maxs
 
     def test_report_kv_shape(self):
-        result = run_experiment(
+        report = run_experiment(
             self.separable_table(),
             [TrainConfig(kernel="linear")],
             failed_trees=(("t9", "unreadable"),),
         )
-        kv = result.report.to_kv()
+        kv = report.to_kv()
         lines = kv.splitlines()
         assert lines[0] == "shadowprune-report v1"
         assert lines[-1] == "end"
         assert any(line.startswith("model 0 kernel linear") for line in lines)
         assert "failed t9 unreadable" in lines
-        assert "skipped tree t9: unreadable" in result.report.to_text()
+        assert "skipped tree t9: unreadable" in report.to_text()
+
+    def test_failed_split_names_the_skipped_trees(self):
+        two_trees = feat_table([("g0", 1, 0.1, 20.0), ("b0", -1, 0.5, 250.0)])
+        skipped = (("t7", "unreadable (photo_id=p1)"), ("t8", "too small"))
+        with pytest.raises(InsufficientData) as err:
+            run_experiment(two_trees, [TrainConfig()], failed_trees=skipped)
+        assert str(err.value) == (
+            "stratified split needs >= 2 records per class, got 1 good / 1 poor;"
+            " skipped trees: 2, first t7: unreadable (photo_id=p1)")
+        with pytest.raises(InsufficientData, match="1 poor$"):
+            run_experiment(two_trees, [TrainConfig()])
 
     def test_models_stamped_with_context(self):
-        result = run_experiment(
+        report = run_experiment(
             self.separable_table(),
             [TrainConfig(kernel="linear")],
             pool_cfg=PoolConfig(p=3),
             grid_cfg=GridConfig(100),
         )
-        model = result.models[0]
+        model = report.entries[0].model
         assert model.pool_factor == 3
         assert model.grid_edge == 33
         assert model.normalizer is not None
 
     def test_pool_factor_one_is_pooling_off(self):
-        result = run_experiment(self.separable_table(), [TrainConfig(kernel="linear")],
+        report = run_experiment(self.separable_table(), [TrainConfig(kernel="linear")],
                                 pool_cfg=PoolConfig(1), grid_cfg=GridConfig(100))
-        assert result.models[0].pool_factor is None
-        assert result.report.pool_factor is None
-        assert "pooling off, grid edge 100" in result.report.to_text()
-        assert "pool_factor 0" in result.report.to_kv().splitlines()
+        assert report.entries[0].model.pool_factor is None
+        assert report.pool_factor is None
+        assert "pooling off, grid edge 100" in report.to_text()
+        assert "pool_factor 0" in report.to_kv().splitlines()
 
 
 HEADER = ",".join(FEATURES_FIELDS) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import xml.etree.ElementTree as ET
 
@@ -110,9 +111,8 @@ class TestLinearPlot:
         raw = np.array([[0.1, 20.0], [0.2, 30.0], [0.8, 70.0], [0.9, 90.0]])
         scaled = raw / np.array([1.0, 100.0])
         data = TrainingSet(scaled, np.array([1.0, 1.0, -1.0, -1.0]))
-        model = train(data, TrainConfig(kernel="linear", C=100.0)).with_context(
-            normalizer=nz
-        )
+        model = dataclasses.replace(train(data, TrainConfig(kernel="linear", C=100.0)),
+                                    normalizer=nz)
         svg = render_svg(table(raw, [1, 1, -1, -1]), model)
         for unif, rate in line_endpoints_data(svg, "boundary"):
             f = decision_values(model, [[rate, unif]])[0]

@@ -26,7 +26,7 @@ from shadowprune.features import GridConfig, extract_features
 from shadowprune.fileio import FileReader
 from shadowprune.imgcore import (BinaryImage, GrayImage, RgbImage, decode_image, encode_pgm,
                                  encode_ppm)
-from shadowprune.pipeline import SamplePoint, extract_point_features
+from shadowprune.pipeline import SamplePoint, TreeRecord, extract_dataset
 from shadowprune.pooling import PoolConfig, binarize_pooled
 from shadowprune.threshold import Histogram, _count_levels, binarize, otsu_threshold
 
@@ -406,8 +406,10 @@ class TestThreadCap:
             (tmp_path / "photo").write_bytes(encode_pgm(GrayImage(px)))
         before = threading.active_count()
         with split_blocks(), counting_threads() as ran_on:
-            extract_point_features(SamplePoint("t", "p", tmp_path / "photo"),
-                                   PoolConfig(), GridConfig())
+            table, failures = extract_dataset(
+                [TreeRecord("t", 1, (SamplePoint("t", "p", tmp_path / "photo"),))],
+                PoolConfig(), GridConfig())
+        assert failures == [] and len(table) == 1
         assert ran_on == [threading.current_thread().name]
         assert threading.active_count() == before and block_threads() == []
 

@@ -3,6 +3,7 @@ state checked against a loop that rebuilds it, persistence."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -233,6 +234,20 @@ class TestSymmetries:
         assert np.array_equal(np.sign(decision_values(m1, data.x)),
                               np.sign(decision_values(m2, data.x)))
 
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_huge_c_keeps_the_hard_margin_model(self, kernel):
+        # The hard-margin alphas of a separable set lie far below these
+        # C, so no bound is reached and C must not change the model.
+        data = separable_set(77)
+        models = [train(data, TrainConfig(kernel=kernel, C=c)) for c in (1e10, 1e13, 1e16, 1e300)]
+        first = models[0]
+        for model in models[1:]:
+            assert model.support_vector_indices == first.support_vector_indices
+            assert model.b == pytest.approx(first.b, rel=1e-9)
+            assert model.dual_coef == pytest.approx(first.dual_coef, rel=1e-9)
+            if kernel == "linear":
+                assert model.w == pytest.approx(first.w, rel=1e-9)
+
     def test_rbf_small_gamma_approaches_linear(self):
         # flat-kernel limit: rescale C by 1/gamma so the fit stays expressive
         rng = np.random.default_rng(42)
@@ -333,13 +348,6 @@ class ReferenceSmo:
     def _low(self):
         return np.where(self.y > 0.0, self.alpha > 0.0, self.alpha < self.C)
 
-    def _snap(self, a):
-        if a < svm._BOUND_EPS * self.C:
-            return 0.0
-        if a > (1.0 - svm._BOUND_EPS) * self.C:
-            return self.C
-        return a
-
     def select_pair(self):
         v_up = np.where(self._up(), self.v, -np.inf)
         i = int(np.argmax(v_up))
@@ -358,8 +366,10 @@ class ReferenceSmo:
         room_i = self.C - ai if yi > 0.0 else ai
         room_j = aj if yj > 0.0 else self.C - aj
         t = min(gap / curv, room_i, room_j)
-        self.alpha[i] = self._snap(ai + yi * t)
-        self.alpha[j] = self._snap(aj - yj * t)
+        # a row whose room cut the step lands on its bound exactly
+        end_i, end_j = (self.C if yi > 0.0 else 0.0), (0.0 if yj > 0.0 else self.C)
+        self.alpha[i] = end_i if t == room_i else np.clip(ai + yi * t, 0.0, self.C)
+        self.alpha[j] = end_j if t == room_j else np.clip(aj - yj * t, 0.0, self.C)
         self.v -= (yi * (self.alpha[i] - ai)) * self.K[i] \
             + (yj * (self.alpha[j] - aj)) * self.K[j]
         self.steps += 1
@@ -641,7 +651,7 @@ class TestDecisionValues:
     def test_batch_equals_rows_bitwise(self, kernel):
         data = separable_set(77, n_cap=30)
         nz = Normalizer(mins=(-1.0, -2.0), maxs=(1.5, 3.0))
-        model = train(data, TrainConfig(kernel=kernel, C=4.0)).with_context(normalizer=nz)
+        model = dataclasses.replace(train(data, TrainConfig(kernel=kernel, C=4.0)), normalizer=nz)
         rng = np.random.default_rng(1)
         queries = rng.uniform(-2.0, 3.0, size=(40, 2))
         batch = decision_values(model, queries)
