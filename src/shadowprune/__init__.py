@@ -2,8 +2,10 @@
 
 Pipeline: grayscale -> Otsu threshold -> patch pooling (p = 1 is off)
 -> two features (black pixel rate, grid uniformity) -> min-max scaling
--> SVM.  binarize_pooled is the one image path: it takes a photo or an
-image file through the first three steps in one pass.  Extracted
+-> SVM.  The image path has two phases: `pool` takes one photo or image
+file through grayscale, histogram and pooling in one pass, and
+`otsu_threshold` and `extract_features` then run once for a batch of
+photos; `binarize_pooled` is that path for one photo.  Extracted
 features live only in a FeatureTable: (n, 2) float64 rows with their
 ids and labels, one row per photo from extract_dataset, one per tree
 from FeatureTable.per_tree.  Normalizer.transform is the one scaling
@@ -65,7 +67,7 @@ from .pipeline import (
     split,
     write_features_csv,
 )
-from .pooling import PoolConfig, binarize_pooled
+from .pooling import PoolConfig, binarize_pooled, pool
 from .svm import (
     SvmModel,
     TrainConfig,
@@ -77,7 +79,6 @@ from .svm import (
 )
 from .synth import SynthConfig, generate, generate_dataset
 from .threshold import (
-    Histogram,
     OtsuResult,
     binarize,
     otsu_threshold,

@@ -159,7 +159,7 @@ def _note(args: argparse.Namespace, message: str) -> None:
 def cmd_binarize(args: argparse.Namespace) -> int:
     binary, result = binarize_pooled(args.input, _pool_cfg(args))
     save_pgm(args.output, binary, raw=not args.plain)
-    print(result.audit_line())
+    print(result.audit_line(0))
     _note(args, f"wrote {binary.height}x{binary.width} binary image to {args.output}")
     return 0
 

@@ -10,13 +10,17 @@ Two numbers summarize a binarized canopy shadow image:
 A set of photos or trees is an (n, 2) float64 array, one row each, with
 fixed column order: 0 = black_pixel_rate, 1 = uniformity.  Columns are
 min-max scaled onto the training range before classification.
+
+The features are computed for a batch of photos at once, from a
+(k, h, w) stack of their pooled gray images and their k Otsu
+thresholds (the tail of the image path; see `pooling`): each count
+compares pooled pixels with their photo's threshold directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +32,6 @@ from .errors import (
     InsufficientData,
     InvalidConfig,
 )
-from .imgcore import BinaryImage
 
 DEFAULT_GRID_EDGE = 100
 
@@ -87,42 +90,73 @@ class Normalizer:
         return (x - lo) / (hi - lo)
 
 
-def black_pixel_rate(img: BinaryImage) -> float:
-    """Fraction of pixels that are black (0)."""
-    if img.pixel_count == 0:
-        raise EmptyImage("cannot compute a pixel rate on an empty image")
-    return (img.pixel_count - int(np.count_nonzero(img.pixels))) / img.pixel_count
-
-
-def grid_white_counts(img: BinaryImage, cfg: GridConfig) -> list[int]:
-    """White-pixel count per disjoint grid tile, row-major.
+def grid_shape(height: int, width: int, cfg: GridConfig) -> tuple[int, int]:
+    """(rows, cols) of the full grid tiles of a height x width image.
 
     Partial tiles at the right/bottom edges are dropped, mirroring the
-    pooling module's floor semantics.
+    pooling module's floor semantics.  Raises ImageTooSmall when no full
+    tile fits.
     """
     edge = cfg.grid_edge
-    rows = img.height // edge
-    cols = img.width // edge
+    rows, cols = height // edge, width // edge
     if rows == 0 or cols == 0:
-        raise ImageTooSmall(
-            f"{img.height}x{img.width} image holds no full {edge}x{edge} grid"
-        )
-    trimmed = img.pixels[: rows * edge, : cols * edge]
-    tiles = trimmed.reshape(rows, edge, cols, edge)
-    counts = np.count_nonzero(tiles, axis=(1, 3))
-    return [int(c) for c in counts.reshape(-1)]
+        raise ImageTooSmall(f"{height}x{width} image holds no full {edge}x{edge} grid")
+    return rows, cols
 
 
-def uniformity(counts: Sequence[int]) -> float:
-    """Population standard deviation of the per-grid white counts."""
-    if len(counts) == 0:
+def black_pixel_rate(light: np.ndarray) -> np.ndarray:
+    """Per image of a (k, h, w) stack of light masks, the fraction of its pixels that are black."""
+    k, h, w = light.shape
+    n = h * w
+    if n == 0:
+        raise EmptyImage("cannot compute a pixel rate on an empty image")
+    return (n - np.count_nonzero(light.reshape(k, n), axis=1)) / n
+
+
+def grid_white_counts(light: np.ndarray, cfg: GridConfig) -> np.ndarray:
+    """Per image of a (k, h, w) stack of light masks, its white count per grid tile.
+
+    A (k, rows * cols) int64 array, tiles in row-major order; see
+    grid_shape for the tiles.
+    """
+    k, h, w = light.shape
+    rows, cols = grid_shape(h, w, cfg)
+    edge = cfg.grid_edge
+    tiles = light[:, : rows * edge, : cols * edge].view(np.uint8)
+    # Sum each tile's rows, then its columns.  edge bools fit in uint16,
+    # whose sums run faster than int64 ones, while edge < 2**16.
+    strips = np.add.reduce(tiles.reshape(k, rows, edge, cols * edge), axis=2,
+                           dtype=np.uint16 if edge < 1 << 16 else np.int64)
+    counts = np.add.reduce(strips.reshape(k, rows, cols, edge), axis=3, dtype=np.int64)
+    return counts.reshape(k, rows * cols)
+
+
+def uniformity(counts) -> np.ndarray:
+    """Population standard deviation of the per-grid white counts, over the last axis.
+
+    One value for a list of counts, one per row for a (k, n) array; each
+    row's value is bit for bit that of the row alone.
+    """
+    values = np.asarray(counts, dtype=np.float64)
+    if values.shape[-1] == 0:
         raise EmptyList("uniformity needs at least one grid count")
-    return float(np.std(np.asarray(counts, dtype=np.float64)))
+    return np.std(values, axis=-1)
 
 
-def extract_features(img: BinaryImage, cfg: GridConfig) -> np.ndarray:
-    """The feature row (black_pixel_rate, uniformity) of one binarized image."""
-    return np.array([black_pixel_rate(img), uniformity(grid_white_counts(img, cfg))])
+def extract_features(pooled: np.ndarray, thresholds, cfg: GridConfig) -> np.ndarray:
+    """The (k, 2) feature rows (black_pixel_rate, uniformity) of k pooled gray images.
+
+    pooled is a (k, h, w) uint8 stack and thresholds holds one Otsu
+    threshold in [0, 255] per image.  A pixel is white (light) when its
+    gray level is >= its image's threshold, and black otherwise; the
+    counts come straight from that comparison, so no binary image is
+    made.  Row i is bit for bit the row of image i alone.
+    """
+    t = np.asarray(thresholds)
+    if t.shape != pooled.shape[:1] or (t.size and (t.min() < 0 or t.max() > 255)):
+        raise ValueError(f"need one threshold in [0, 255] per image, got {t.tolist()}")
+    light = pooled >= t.astype(np.uint8)[:, None, None]
+    return np.column_stack((black_pixel_rate(light), uniformity(grid_white_counts(light, cfg))))
 
 
 def fit_normalizer(x: np.ndarray) -> Normalizer:

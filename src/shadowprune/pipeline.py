@@ -5,10 +5,12 @@ taken under individual trees; rows group into per-tree records carrying
 one expert pruning label each.  The records are the manifest only:
 extraction turns them into a FeatureTable of one row per photo, and a
 tree's row is the arithmetic mean of its photos' rows
-(FeatureTable.per_tree).  Experiments split per-tree rows, fit the
-normalizer on the training side only, train one model per requested
-config on identical splits, and return one EvalReport: accuracies side
-by side, each entry carrying the model it scored.
+(FeatureTable.per_tree).  Extraction runs the image path's pixel phase
+photo by photo and its tail (Otsu and the features) once per batch of
+consecutive photos (see `pooling`).  Experiments split per-tree rows,
+fit the normalizer on the training side only, train one model per
+requested config on identical splits, and return one EvalReport:
+accuracies side by side, each entry carrying the model it scored.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .features import N_FEATURES, GridConfig, extract_features, fit_normalizer
 from .fileio import csv_text, read_csv, write_file
-from .pooling import PoolConfig, binarize_pooled
+from .pooling import _BLOCK_PIXELS, PoolConfig, pool
 from .svm import (
     SvmModel,
     TrainConfig,
@@ -42,11 +44,18 @@ from .svm import (
     decision_values,
     train,
 )
+from .threshold import otsu_threshold
 
 MANIFEST_FIELDS = ("tree_id", "photo_id", "image_path", "label")
 FEATURES_FIELDS = ("tree_id", "photo_id", "black_pixel_rate", "uniformity", "label")
 
 _LABEL_MAP = {"1": 1, "+1": 1, "0": -1, "-1": -1}
+
+# Bytes of pooled pixels and histograms per batch of extract_dataset: the
+# cache budget of a row block of `pooling.pool`.  It also bounds the
+# rows of a batch's Otsu scan, whose float temporaries take some ten
+# times a histogram's bytes.
+_BATCH_BYTES = _BLOCK_PIXELS
 
 
 @dataclass(frozen=True)
@@ -206,28 +215,53 @@ def extract_dataset(
     the skipped trees come back beside the table, so reports can list
     them, each reason ending in the failing photo's " (photo_id=...)".
     With no tree left, the table is empty.
+
+    Each photo goes through the pixel phase (`pooling.pool`) on its own,
+    which raises every error a photo can raise.  Consecutive photos of
+    one pooled shape then share a batch, and the tail (Otsu and the
+    features) runs once per batch.  A batch's pooled pixels and
+    histograms take at most _BATCH_BYTES, or one photo's, so memory
+    does not grow with the manifest.  A row does not depend on the
+    batch it was in.
     """
+    grid = effective_grid(grid_cfg, pool_cfg)
     tree_ids: list[str] = []
     photo_ids: list[str] = []
-    x: list[np.ndarray] = []
     y: list[int] = []
+    keep: list[bool] = []  # per photo pooled: its whole tree extracted
     failures: list[tuple[str, str]] = []
-    grid = effective_grid(grid_cfg, pool_cfg)
+    batch: list[tuple[np.ndarray, np.ndarray]] = []
+    parts: list[np.ndarray] = []
+
+    def run_tail() -> None:
+        counts, pooled = (np.stack(a) for a in zip(*batch))
+        parts.append(extract_features(pooled, otsu_threshold(counts).threshold, grid))
+        batch.clear()
+
     for rec in records:
-        rows = []
+        first = len(keep)
         for point in rec.points:
             try:
-                binary, _ = binarize_pooled(point.image_path, pool_cfg)
-                rows.append(extract_features(binary, grid))
+                counts, pooled = pool(point.image_path, pool_cfg, grid)
             except ShadowPruneError as exc:
                 failures.append((rec.tree_id, f"{exc} (photo_id={point.photo_id})"))
+                keep[first:] = [False] * (len(keep) - first)
                 break
-        else:
-            tree_ids += [rec.tree_id] * len(rows)
-            photo_ids += [p.photo_id for p in rec.points]
-            x += rows
-            y += [rec.label] * len(rows)
-    return FeatureTable(tree_ids, photo_ids, np.reshape(x, (-1, N_FEATURES)), y), failures
+            if batch and pooled.shape != batch[0][1].shape:
+                run_tail()
+            batch.append((counts, pooled))
+            tree_ids.append(rec.tree_id)
+            photo_ids.append(point.photo_id)
+            y.append(rec.label)
+            keep.append(True)
+            # Run a full batch now, so its pixels are not held through the
+            # next photo's pixel phase.
+            if (len(batch) + 1) * (counts.nbytes + pooled.nbytes) > _BATCH_BYTES:
+                run_tail()
+    if batch:
+        run_tail()
+    x = np.concatenate(parts) if parts else np.empty((0, N_FEATURES))
+    return FeatureTable(tree_ids, photo_ids, x, y).take(np.flatnonzero(keep)), failures
 
 
 def _round_half_up(x: float) -> int:

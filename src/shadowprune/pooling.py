@@ -1,4 +1,4 @@
-"""Patch pooling, and the one image path from a photo to a pooled binary.
+"""Patch pooling, and the image path from a photo to its pooled pixels and threshold.
 
 A colour pixel (r, g, b) has the gray level
 floor(0.21 r + 0.72 g + 0.07 b + 0.5) (see `imgcore._gray_rows`); a
@@ -13,15 +13,25 @@ patch black.  p = 1 keeps every pixel, which is pooling off.
 Thresholding is monotone, so it commutes with the patch maximum: a
 patch is white exactly when its brightest gray level is >= t, for every
 photo, threshold and factor (the threshold decomposition of stack
-filters).  `binarize_pooled` therefore pools the gray image and
-thresholds only the pooled pixels; a photo's BinaryImage exists only at
-the pooled size.  Otsu's threshold still comes from the histogram of
-every full-resolution pixel, the ragged edges the pool drops included.
+filters).  The image path therefore pools the gray image and
+thresholds only the pooled pixels.  Otsu's threshold still comes from
+the histogram of every full-resolution pixel, the ragged edges the
+pool drops included.
 
-Pixels enter `binarize_pooled` as a decoded image or as the path of an
-image file.  The blocks of a raw (P5/P6) regular file read their own
-rows from disk, so reading overlaps the gray, histogram and pool work
-of other blocks and the raster is never held whole; any other file is
+The path has two phases.  The pixel phase, `pool`, runs once per
+photo: it reads the photo, converts it to gray, counts its histogram
+and max-pools it, and raises every error a photo can raise.  The tail
+runs once per batch of photos: `threshold.otsu_threshold` scans their
+stacked histograms in one set of array operations, and
+`features.extract_features` compares each pooled image with its own
+threshold (`pipeline.extract_dataset` makes the batches).
+`binarize_pooled` is the same path for a batch of one photo, and ends
+in the photo's pooled BinaryImage.
+
+Pixels enter `pool` as a decoded image or as the path of an image
+file.  The blocks of a raw (P5/P6) regular file read their own rows
+from disk, so reading overlaps the gray, histogram and pool work of
+other blocks and the raster is never held whole; any other file is
 decoded whole first (see `imgcore._row_source`).  The blocks of a
 photo with more than one share a pool of threads that lives for that
 photo alone; no thread, buffer or lock persists between calls.
@@ -36,12 +46,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyImage, ImageTooSmall, InvalidConfig
+from .features import GridConfig, grid_shape
 from .imgcore import BinaryImage, GrayImage, RgbImage, _gray_rows, _row_source
-from .threshold import Histogram, OtsuResult, _count_levels, binarize, otsu_threshold
+from .threshold import OtsuResult, _check_levels, _count_levels, binarize, otsu_threshold
 
 DEFAULT_POOL_FACTOR = 3
 
-# Pixels per row block of `binarize_pooled`.  Smaller blocks make worker
+# Pixels per row block of `pool`.  Smaller blocks make worker
 # threads queue on the GIL between numpy calls; larger ones fall out of
 # the per-core cache.
 _BLOCK_PIXELS = 1 << 18
@@ -75,25 +86,31 @@ def _max_pool_rows(src: np.ndarray, p: int, out: np.ndarray) -> None:
         np.maximum(out, rows[:, k::p], out=out)
 
 
-def binarize_pooled(
-    photo: RgbImage | GrayImage | str | Path, cfg: PoolConfig = PoolConfig()
-) -> tuple[BinaryImage, OtsuResult]:
-    """Gray, Otsu-threshold and pool a photo, or the image file at a path, in one pass.
+def pool(
+    photo: RgbImage | GrayImage | str | Path,
+    cfg: PoolConfig = PoolConfig(),
+    grid: GridConfig = GridConfig(1),
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel phase of the image path: a photo's histogram and pooled gray image.
 
-    The pooled binary image of the module docstring, with cfg.p as p,
-    and the OtsuResult of its threshold.  For a path, the photo is the
-    file's decoded image.  Raises, in this order: what decoding raises,
-    EmptyImage for an image without pixels, DegenerateHistogram for one
-    of a single gray level, and ImageTooSmall when no full p x p patch
-    fits.  The image is walked in blocks of whole patch rows; each
-    block is converted to gray (colour only), counted into the
-    histogram and max-pooled into its own rows of the pooled array.
-    Neither the full-size gray image of a colour photo nor a full-size
-    binary image is made.  The blocks of a raw (P5/P6) regular file are
-    read from disk by the block that needs them; any other file is
-    decoded whole first.  Blocks of an image with more than one go to
-    at most one worker thread per core, started for this call and
-    joined before it returns; the output does not depend on them.
+    Returns the 256 int64 counts of every full-resolution gray level of
+    the photo, or of the decoded image of the file at a path, and its
+    (height // p, width // p) uint8 pooled gray image, p = cfg.p.
+    Raises, in this order: what decoding raises, EmptyImage for an image
+    without pixels, DegenerateHistogram for one of a single gray level,
+    ImageTooSmall when no full p x p patch fits, and ImageTooSmall when
+    the pooled image holds no full tile of `grid`.  The tail (Otsu and
+    the features, or binarize) cannot fail on what this returns.
+
+    The image is walked in blocks of whole patch rows; each block is
+    converted to gray (colour only), counted into the histogram and
+    max-pooled into its own rows of the pooled array, so the full-size
+    gray image of a colour photo is never made.  The blocks of a raw
+    (P5/P6) regular file are read from disk by the block that needs
+    them; any other file is decoded whole first.  Blocks of an image
+    with more than one go to at most one worker thread per core,
+    started for this call and joined before it returns; the output does
+    not depend on them.
     """
     with _row_source(photo) as source:
         height, width, colour = source.height, source.width, source.colour
@@ -114,10 +131,25 @@ def binarize_pooled(
 
         # Every block has returned, its file reads done, before the file closes.
         counts = sum(_map_blocks(block, range(0, height, step)))
-    result = otsu_threshold(Histogram(counts, height * width))
+    _check_levels(counts)
     if pooled.size == 0:
         raise ImageTooSmall(f"{height}x{width} image has no full {p}x{p} patch")
-    return binarize(GrayImage._trusted(pooled), result.threshold), result
+    grid_shape(*pooled.shape, grid)
+    return counts, pooled
+
+
+def binarize_pooled(
+    photo: RgbImage | GrayImage | str | Path, cfg: PoolConfig = PoolConfig()
+) -> tuple[BinaryImage, OtsuResult]:
+    """Gray, Otsu-threshold and pool a photo, or the image file at a path.
+
+    The pooled binary image of the module docstring, with cfg.p as p,
+    and the one-row OtsuResult of its threshold: the image path for a
+    batch of one photo.  Raises what `pool` raises.
+    """
+    counts, pooled = pool(photo, cfg)
+    result = otsu_threshold(counts[None])
+    return binarize(GrayImage._trusted(pooled), int(result.threshold[0])), result
 
 
 def _worker_count(cpu_count: int | None, n_blocks: int) -> int:

@@ -40,8 +40,9 @@ KERNELS = (KERNEL_LINEAR, KERNEL_RBF)
 DEFAULT_C = 1.0
 DEFAULT_TOLERANCE = 1e-4
 
-# Alphas below this are treated as exactly zero after training.  Small
-# enough that zeroing them moves sum(alpha*y) by well under 1e-6.
+# Alphas below this times min(1, C) are treated as exactly zero after
+# training.  Small enough that zeroing them moves sum(alpha*y) by well
+# under 1e-6; scaled with a C below 1, where every alpha is at most C.
 _ALPHA_FLOOR = 1e-12
 
 # Curvature used for a pair whose kernel curvature is not positive.
@@ -340,7 +341,7 @@ def _build_model(
     smo: _Smo, data: TrainingSet, cfg: TrainConfig, gamma: float | None
 ) -> SvmModel:
     alpha = smo.alphas()
-    alpha[alpha < _ALPHA_FLOOR] = 0.0
+    alpha[alpha < _ALPHA_FLOOR * min(1.0, cfg.C)] = 0.0
     sv = np.flatnonzero(alpha > 0.0)
     w = None
     if cfg.kernel == KERNEL_LINEAR:

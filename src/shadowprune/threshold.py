@@ -7,13 +7,18 @@ minimizing the weighted intra-class variance; candidates run over
 t in [1, 255] and ties go to the smallest t.
 
 A photo's threshold comes from the histogram of all its pixels, but
-the image path (`pooling.binarize_pooled`) binarizes only the pooled
-gray image, so a photo's BinaryImage exists only at the pooled size.
+the image path thresholds only its pooled gray image (see `pooling`).
+That path has two phases.  A photo's pixel phase (`pooling.pool`)
+counts its histogram with `_count_levels`, the one histogram kernel,
+and checks that it has two occupied levels.  The tail then runs once
+for a batch of photos: `otsu_threshold` scans their stacked (k, 256)
+histograms together, and the features (or `binarize`, for one photo)
+compare each pooled image with its own threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,64 +35,40 @@ _TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Pixel counts over the 256 intensity levels."""
-
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (LEVELS,):
-            raise ValueError(f"histogram needs {LEVELS} bins, got shape {counts.shape}")
-        if counts.size and int(counts.min()) < 0:
-            raise ValueError("histogram counts must be non-negative")
-        if int(counts.sum()) != self.total or self.total <= 0:
-            raise ValueError("histogram total must equal the positive sum of counts")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """p(i) = counts[i] / total."""
-        return self.counts / self.total
-
-
-@dataclass(frozen=True)
 class OtsuResult:
-    """Chosen threshold plus the full objective trace for auditability.
+    """Each histogram's chosen threshold plus its full objective trace, for auditability.
 
-    `objective[t]` is the inter-class variance of candidate t; entries
-    where either class would be empty are zero.  w0/w1/mu0/mu1 are the
-    class probabilities and means at the chosen threshold.
+    Row i describes row i of the counts matrix given to otsu_threshold.
+    `objective[i, t]` is the inter-class variance of candidate t; entries
+    where either class would be empty are zero.  w0/w1/mu0/mu1 hold each
+    row's class probabilities and means at its chosen threshold.  The
+    arrays are read-only.
     """
 
-    threshold: int
+    threshold: np.ndarray
     objective: np.ndarray
-    w0: float
-    w1: float
-    mu0: float
-    mu1: float
+    w0: np.ndarray
+    w1: np.ndarray
+    mu0: np.ndarray
+    mu1: np.ndarray
 
     def __post_init__(self):
-        obj = np.asarray(self.objective, dtype=np.float64)
-        obj.setflags(write=False)
-        object.__setattr__(self, "objective", obj)
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
-    @property
-    def max_objective(self) -> float:
-        return float(self.objective[self.threshold])
-
-    def audit_line(self) -> str:
-        """One-line text record for pipeline logs."""
+    def audit_line(self, row: int) -> str:
+        """One-line text record of one row, for pipeline logs."""
+        t = int(self.threshold[row])
+        w0, w1, mu0, mu1, sigma_b2 = (float(v) for v in (
+            self.w0[row], self.w1[row], self.mu0[row], self.mu1[row], self.objective[row, t]))
         return (
-            f"otsu threshold={self.threshold} w0={self.w0!r} w1={self.w1!r} "
-            f"mu0={self.mu0!r} mu1={self.mu1!r} sigma_b2={self.max_objective!r}"
+            f"otsu threshold={t} w0={w0!r} w1={w1!r} "
+            f"mu0={mu0!r} mu1={mu1!r} sigma_b2={sigma_b2!r}"
         )
 
 
 def _count_levels(pixels: np.ndarray) -> np.ndarray:
-    """Per-level counts of uint8 pixels, as 256 int64."""
+    """Per-level counts of uint8 pixels, as 256 int64: the one histogram kernel."""
     # bincount casts its input to intp; blocks keep that copy in cache.
     flat = pixels.reshape(-1)
     counts = np.zeros(LEVELS, dtype=np.int64)
@@ -96,55 +77,84 @@ def _count_levels(pixels: np.ndarray) -> np.ndarray:
     return counts
 
 
-def otsu_threshold(h: Histogram) -> OtsuResult:
-    """Pick the threshold with maximal inter-class variance.
+def _check_levels(counts: np.ndarray) -> None:
+    """Raise DegenerateHistogram unless each histogram has two occupied levels.
 
-    Cumulative moments from both ends give every candidate in a single
-    pass over the 256 bins; the empty-class sides stay exactly zero so
-    no spurious candidate can win on rounding noise.  When two distinct
-    splits come within rounding of the float maximum, they are compared
-    exactly, so ties go to the smallest t; the audit fields stay the
-    float ones at that t.
-
-    Raises DegenerateHistogram when fewer than two intensity levels are
-    present (every split leaves a class empty and the objective is
-    identically zero).
+    counts is one histogram of 256 counts, or a (k, 256) matrix of them.
+    With fewer levels, every split leaves a class empty and the
+    objective is identically zero.
     """
-    if int(np.count_nonzero(h.counts)) < 2:
+    # Without an axis, count_nonzero is some 8x faster on one histogram,
+    # which the pixel phase checks for every photo.
+    if counts.ndim == 1:
+        occupied = np.count_nonzero(counts)
+    else:
+        occupied = np.count_nonzero(counts, axis=1).min(initial=2)
+    if occupied < 2:
         raise DegenerateHistogram(
             "histogram has fewer than two occupied intensity levels"
         )
-    p = h.probabilities
+
+
+def otsu_threshold(counts: np.ndarray) -> OtsuResult:
+    """Pick the threshold with maximal inter-class variance for each histogram.
+
+    counts is a (k, 256) matrix of pixel counts, one histogram per row;
+    row i of the result belongs to row i of counts, and a row comes out
+    the same, bit for bit, whatever rows share its matrix.  Cumulative
+    moments from both ends give every candidate of every row in one set
+    of array operations; the empty-class sides stay exactly zero so no
+    spurious candidate can win on rounding noise.  When two distinct
+    splits of a row come within rounding of its float maximum, they are
+    compared exactly, so ties go to the smallest t; the audit fields
+    stay the float ones at that t.
+
+    Raises ValueError for a matrix that is not (k, 256) non-negative
+    integers, and DegenerateHistogram when a row has fewer than two
+    occupied intensity levels.
+    """
+    counts = np.asarray(counts)
+    if (counts.ndim != 2 or counts.shape[1] != LEVELS
+            or not np.issubdtype(counts.dtype, np.integer)):
+        raise ValueError(f"otsu needs (k, {LEVELS}) integer counts, got {counts.shape}")
+    if counts.size and int(counts.min()) < 0:
+        raise ValueError("histogram counts must be non-negative")
+    counts = counts.astype(np.int64, copy=False)
+    _check_levels(counts)
+    p = counts / counts.sum(axis=1, keepdims=True)
     levels = np.arange(LEVELS, dtype=np.float64)
     ip = levels * p
 
     # w0(t) = sum_{i<t} p(i); w1(t) = sum_{i>=t} p(i), both by direct
     # accumulation so an empty class is exactly 0.0, never 1 - (1 - eps).
-    w0 = np.concatenate(([0.0], np.cumsum(p)[:-1]))
-    w1 = np.cumsum(p[::-1])[::-1]
-    m0 = np.concatenate(([0.0], np.cumsum(ip)[:-1]))
-    m1 = np.cumsum(ip[::-1])[::-1]
+    # Each row accumulates left to right on its own, as a 1-D cumsum does.
+    zero = np.zeros((len(counts), 1))
+    w0 = np.concatenate((zero, np.cumsum(p[:, :-1], axis=1)), axis=1)
+    w1 = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
+    m0 = np.concatenate((zero, np.cumsum(ip[:, :-1], axis=1)), axis=1)
+    m1 = np.cumsum(ip[:, ::-1], axis=1)[:, ::-1]
 
     valid = (w0 > 0.0) & (w1 > 0.0)
-    mu0 = np.divide(m0, w0, out=np.zeros(LEVELS), where=valid)
-    mu1 = np.divide(m1, w1, out=np.zeros(LEVELS), where=valid)
+    mu0 = np.divide(m0, w0, out=np.zeros(w0.shape), where=valid)
+    mu1 = np.divide(m1, w1, out=np.zeros(w1.shape), where=valid)
     objective = np.where(valid, w0 * w1 * (mu0 - mu1) ** 2, 0.0)
 
     # Every t of a run of empty bins makes the same split, and the float
     # maximum is the first t of its run; only the first t of each run is
     # a candidate.
-    t = int(np.argmax(objective))
-    near = objective >= objective[t] * (1.0 - _TIE_TOLERANCE)
-    near[1:] &= h.counts[:-1] > 0
-    if np.count_nonzero(near) > 1:
-        t = _exact_first_max(h.counts, np.flatnonzero(near).tolist())
+    rows = np.arange(len(counts))
+    t = np.argmax(objective, axis=1)
+    near = objective >= (objective[rows, t] * (1.0 - _TIE_TOLERANCE))[:, None]
+    near[:, 1:] &= counts[:, :-1] > 0
+    for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1).tolist():
+        t[i] = _exact_first_max(counts[i], np.flatnonzero(near[i]).tolist())
     return OtsuResult(
         threshold=t,
         objective=objective,
-        w0=float(w0[t]),
-        w1=float(w1[t]),
-        mu0=float(mu0[t]),
-        mu1=float(mu1[t]),
+        w0=w0[rows, t],
+        w1=w1[rows, t],
+        mu0=mu0[rows, t],
+        mu1=mu1[rows, t],
     )
 
 

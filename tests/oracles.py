@@ -124,6 +124,47 @@ def max_pool_reference(px: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def photo_features(pixels, p: int, edge: int) -> tuple[float, float]:
+    """(black_pixel_rate, uniformity) of one photo, one definition at a time.
+
+    pixels is a (h, w) gray or (h, w, 3) colour array of levels in
+    [0, 255].  Gray levels by gray_formula, the count of every level,
+    the exact Otsu threshold (otsu_exact), a {0, 255} binary image at
+    full size, the looped max-pool by p (max_pool_reference); then the
+    fraction of black pooled pixels, and the population standard
+    deviation of the white counts of the full edge x edge tiles,
+    row-major, taken as np.std of their list.  Raises ValueError naming
+    the first check that fails: "empty" (no pixel), "degenerate" (fewer
+    than two gray levels), "pool" (no full p x p patch) or "grid" (no
+    full tile in the pooled image).
+    """
+    px = np.asarray(pixels)
+    h, w = px.shape[:2]
+    if h * w == 0:
+        raise ValueError("empty")
+    if px.ndim == 3:
+        gray = np.array([[gray_formula(*(int(c) for c in px[i, j])) for j in range(w)]
+                         for i in range(h)])
+    else:
+        gray = px.astype(np.int64)
+    counts = [0] * LEVELS
+    for v in gray.ravel().tolist():
+        counts[v] += 1
+    if sum(1 for c in counts if c) < 2:
+        raise ValueError("degenerate")
+    t = otsu_exact(counts)
+    if h < p or w < p:
+        raise ValueError("pool")
+    pooled = max_pool_reference(np.where(gray >= t, 255, 0), p)
+    ph, pw = pooled.shape
+    if ph < edge or pw < edge:
+        raise ValueError("grid")
+    white = [int(np.count_nonzero(pooled[i * edge:(i + 1) * edge, j * edge:(j + 1) * edge]))
+             for i in range(ph // edge) for j in range(pw // edge)]
+    black = ph * pw - int(np.count_nonzero(pooled))
+    return black / (ph * pw), float(np.std(np.asarray(white, dtype=np.float64)))
+
+
 def hard_margin_oracle(x: np.ndarray, y: np.ndarray):
     """Exact hard-margin SVM in R^2 by support-subset enumeration.
 

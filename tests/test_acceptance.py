@@ -33,7 +33,7 @@ from shadowprune.svm import (
     train,
 )
 from shadowprune.synth import generate_dataset
-from shadowprune.threshold import Histogram, otsu_threshold
+from shadowprune.threshold import otsu_threshold
 
 from oracles import (
     gray_formula,
@@ -63,10 +63,10 @@ def test_01_otsu_matches_exhaustive_oracle():
     start = time.perf_counter()
     for i in range(200):
         px = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        result = otsu_threshold(Histogram(np.bincount(px.ravel(), minlength=256), px.size))
+        t = int(otsu_threshold(np.bincount(px.ravel(), minlength=256)[None]).threshold[0])
         t_ref, _ = otsu_exhaustive(np.bincount(px.ravel(), minlength=256))
-        if result.threshold != t_ref:
-            problems.append(f"image {i}: {result.threshold} != oracle {t_ref}")
+        if t != t_ref:
+            problems.append(f"image {i}: {t} != oracle {t_ref}")
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
         problems.append(f"runtime {elapsed:.2f}s, budget 5s")
@@ -84,8 +84,7 @@ def test_02_objective_duality():
         counts[rng.random(256) < rng.uniform(0.3, 0.95)] = 0
         if np.count_nonzero(counts) < 2:
             counts[10], counts[200] = 5, 7
-        hist = Histogram(counts, int(counts.sum()))
-        result = otsu_threshold(hist)
+        result = otsu_threshold(counts[None])
         mu = float(np.sum(np.arange(256) * counts) / counts.sum())
         var_total = float(
             np.sum(counts * (np.arange(256) - mu) ** 2) / counts.sum()
@@ -93,15 +92,15 @@ def test_02_objective_duality():
         nonzero = np.flatnonzero(counts)
         valid = range(int(nonzero[0]) + 1, int(nonzero[-1]) + 1)
         best_t = min(valid, key=lambda t: (intra_class_variance(counts, t), t))
-        if best_t != result.threshold:
+        if best_t != result.threshold[0]:
             problems.append(
                 f"hist {i}: argmin sigma_w {best_t} != argmax sigma_b "
-                f"{result.threshold}"
+                f"{result.threshold[0]}"
             )
         for t in valid:
             gap = abs(
                 intra_class_variance(counts, t)
-                + float(result.objective[t])
+                + float(result.objective[0, t])
                 - var_total
             )
             if gap > 1e-9:

@@ -1,4 +1,4 @@
-"""Feature extraction and min-max normalization."""
+"""Feature extraction over stacks of pooled images, and min-max normalization."""
 
 from __future__ import annotations
 
@@ -24,58 +24,79 @@ from shadowprune.features import (
     grid_white_counts,
     uniformity,
 )
-from shadowprune.imgcore import BinaryImage
 
 from oracles import two_pass_std
 
 
-def binary(arr) -> BinaryImage:
-    return BinaryImage(np.array(arr, dtype=np.uint8))
+def binary(arr) -> np.ndarray:
+    """The light mask of one {0, 255} image, as a stack of one."""
+    px = np.array(arr, dtype=np.uint8)
+    assert np.isin(px, (0, 255)).all()
+    return (px == 255)[None]
 
 
-def solid(h, w, value) -> BinaryImage:
+def solid(h, w, value) -> np.ndarray:
     return binary(np.full((h, w), value))
+
+
+def counts_of(light, cfg) -> list[int]:
+    return grid_white_counts(light, cfg)[0].tolist()
 
 
 class TestBlackPixelRate:
     def test_all_black(self):
-        assert black_pixel_rate(solid(4, 4, 0)) == 1.0
+        assert black_pixel_rate(solid(4, 4, 0)).tolist() == [1.0]
 
     def test_all_white(self):
-        assert black_pixel_rate(solid(4, 4, 255)) == 0.0
+        assert black_pixel_rate(solid(4, 4, 255)).tolist() == [0.0]
 
     def test_one_black_of_four(self):
         px = np.full((2, 2), 255)
         px[0, 0] = 0
-        assert black_pixel_rate(binary(px)) == 0.25
+        assert black_pixel_rate(binary(px)).tolist() == [0.25]
 
     def test_empty_image(self):
         with pytest.raises(EmptyImage):
-            black_pixel_rate(BinaryImage(np.zeros((0, 3), dtype=np.uint8)))
+            black_pixel_rate(np.zeros((1, 0, 3), dtype=bool))
+
+    def test_one_rate_per_image(self):
+        stack = np.concatenate([solid(2, 2, 0), solid(2, 2, 255), binary([[0, 255], [0, 0]])])
+        assert black_pixel_rate(stack).tolist() == [1.0, 0.0, 0.75]
 
 
 class TestGridCounts:
     def test_full_white_tiles(self):
-        counts = grid_white_counts(solid(200, 200, 255), GridConfig(100))
+        counts = counts_of(solid(200, 200, 255), GridConfig(100))
         assert counts == [10000, 10000, 10000, 10000]
 
     def test_full_black_tiles(self):
-        counts = grid_white_counts(solid(200, 200, 0), GridConfig(100))
+        counts = counts_of(solid(200, 200, 0), GridConfig(100))
         assert counts == [0, 0, 0, 0]
 
     def test_partial_tiles_dropped(self):
-        counts = grid_white_counts(solid(150, 150, 255), GridConfig(100))
+        counts = counts_of(solid(150, 150, 255), GridConfig(100))
         assert counts == [10000]
 
     def test_row_major_order(self):
         px = np.zeros((4, 4))
         px[0:2, 2:4] = 255  # white only in the top-right tile
-        counts = grid_white_counts(binary(px), GridConfig(2))
+        counts = counts_of(binary(px), GridConfig(2))
         assert counts == [0, 4, 0, 0]
 
     def test_too_small(self):
-        with pytest.raises(ImageTooSmall):
+        with pytest.raises(ImageTooSmall, match="^99x200 image holds no full 100x100 grid$"):
             grid_white_counts(solid(99, 200, 0), GridConfig(100))
+
+    @pytest.mark.parametrize("edge", [1, 3, 255, 256, 300])
+    def test_tiles_of_every_edge_count_exactly(self, edge):
+        # Tile rows are summed in uint16, which holds 256 and 300 white rows.
+        rng = np.random.default_rng(edge)
+        h, w = 2 * edge + 1, edge + 2
+        light = rng.random((2, h, w)) < 0.9
+        rows, cols = h // edge, w // edge
+        want = [[int(np.count_nonzero(m[i * edge:(i + 1) * edge, j * edge:(j + 1) * edge]))
+                 for i in range(rows) for j in range(cols)] for m in light]
+        assert grid_white_counts(light, GridConfig(edge)).tolist() == want
 
     @pytest.mark.parametrize("edge", [0, -3])
     def test_invalid_edge(self, edge):
@@ -126,9 +147,20 @@ class TestExtractFeatures:
     def test_row_order(self):
         px = np.full((4, 4), 255)
         px[:1] = 0
-        row = extract_features(binary(px), GridConfig(2))
-        assert row.dtype == np.float64
-        assert row.tolist() == [0.25, uniformity([2, 2, 4, 4])]
+        rows = extract_features(px.astype(np.uint8)[None], [255], GridConfig(2))
+        assert rows.dtype == np.float64
+        assert rows.tolist() == [[0.25, uniformity([2, 2, 4, 4])]]
+
+    def test_each_image_against_its_own_threshold(self):
+        gray = np.array([[[10, 20], [30, 40]]] * 3, dtype=np.uint8)
+        rows = extract_features(gray, [11, 40, 0], GridConfig(1))
+        assert rows[:, 0].tolist() == [0.25, 0.75, 0.0]
+        assert rows[:, 1].tolist() == [uniformity([0, 1, 1, 1]), uniformity([0, 0, 0, 1]), 0.0]
+
+    @pytest.mark.parametrize("thresholds", [[1], [1, 2, 3], [-1, 2], [2, 256]])
+    def test_one_threshold_in_range_per_image(self, thresholds):
+        with pytest.raises(ValueError):
+            extract_features(np.zeros((2, 3, 3), dtype=np.uint8), thresholds, GridConfig(1))
 
 
 class TestNormalizer:

@@ -154,6 +154,48 @@ def test_no_module_keeps_process_state():
     assert offenders == {}
 
 
+def _callers(sources: dict[str, str], name: str) -> set[str]:
+    """module.function of each function that calls `name`, as name() or x.name().
+
+    `sources` maps module names to sources; a call outside any function
+    counts as module.<module>.  A nested function or a method counts as
+    the top-level function or class that holds it.
+    """
+    found = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and name in (getattr(call.func, "id", None),
+                                                           getattr(call.func, "attr", None)):
+                    found.add(f"{module}.{owner}")
+    return found
+
+
+def test_caller_guard_sees_names_attributes_and_nesting():
+    sources = {"a": "import numpy as np\nnp.bincount(x)\n"
+                    "def f():\n    def g():\n        return bincount(x)\n",
+               "b": "class C:\n    def m(self):\n        self.bincount()\n"
+                    "def h():\n    return np.bincounts(x)\n"}
+    assert _callers(sources, "bincount") == {"a.<module>", "a.f", "b.C"}
+
+
+def test_one_histogram_kernel_and_one_otsu_scan():
+    # Every histogram is counted by one kernel, and one function scans
+    # the Otsu objective, whose cumulative class moments no other code
+    # computes: a photo's threshold has a single path.
+    package = Path(shadowprune.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _callers(sources, "bincount") == {"threshold._count_levels"}
+    assert _callers(sources, "cumsum") == {"threshold.otsu_threshold",
+                                           "threshold._exact_first_max"}
+    scans = [f"{module}.{node.name}" for module, source in sources.items()
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef) and "otsu" in node.name.lower()]
+    assert scans == ["threshold.otsu_threshold"]
+
+
 def _reads(tree: ast.AST) -> Counter:
     """How often each name is read in a parsed node, as a name or an attribute."""
     return Counter(node.id if isinstance(node, ast.Name) else node.attr

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from shadowprune.errors import (
     MissingImage,
     ShadowPruneError,
 )
+from shadowprune import pipeline
 from shadowprune.features import GridConfig
-from shadowprune.imgcore import GrayImage, encode_pgm
+from shadowprune.imgcore import GrayImage, RgbImage, decode_image, encode_pgm, encode_ppm
 from shadowprune.pipeline import (
     FEATURES_FIELDS,
     FeatureTable,
@@ -38,6 +41,8 @@ from shadowprune.pipeline import (
 )
 from shadowprune.pooling import PoolConfig, binarize_pooled
 from shadowprune.svm import TrainConfig, serialize_model
+
+from oracles import photo_features
 
 NO_POOL = PoolConfig(1)
 
@@ -289,6 +294,142 @@ class TestExtraction:
         assert table.tree_ids == ("t0", "t0", "t1", "t1", "t2", "t2", "t3", "t3")
         assert table.photo_ids == ("p1", "p0") * 4
         assert table.y.tolist() == [-1, -1, 1, 1, -1, -1, 1, 1]
+
+
+# The library's text for each check the oracle names; see photo_features.
+REFERENCE_ERRORS = {
+    "degenerate": lambda h, w, p, e: "histogram has fewer than two occupied intensity levels",
+    "pool": lambda h, w, p, e: f"{h}x{w} image has no full {p}x{p} patch",
+    "grid": lambda h, w, p, e: f"{h // p}x{w // p} image holds no full {e}x{e} grid",
+}
+
+
+def reference_extraction(records, pool_cfg, grid_cfg):
+    """extract_dataset photo by photo from the oracle chain: rows and failures.
+
+    oracles.photo_features was added for this: batching must not change
+    a single bit of any photo's row, so the reference takes each photo
+    alone, through the definitions, with none of the library's gray,
+    histogram, Otsu, pool or feature code; only decoding is shared.
+    """
+    edge = effective_grid(grid_cfg, pool_cfg).grid_edge
+    rows, failures = [], []
+    for rec in records:
+        tree_rows = []
+        for point in rec.points:
+            try:
+                img = decode_image(point.image_path.read_bytes())
+                tree_rows.append((rec.tree_id, point.photo_id,
+                                  photo_features(img.pixels, pool_cfg.p, edge), rec.label))
+            except ShadowPruneError as exc:
+                reason = str(exc)
+            except ValueError as exc:
+                reason = REFERENCE_ERRORS[str(exc)](img.height, img.width, pool_cfg.p, edge)
+            else:
+                continue
+            failures.append((rec.tree_id, f"{reason} (photo_id={point.photo_id})"))
+            break
+        else:
+            rows += tree_rows
+    return rows, failures
+
+
+def assert_matches_reference(records, pool_cfg, grid_cfg, batch_bytes):
+    with mock.patch.object(pipeline, "_BATCH_BYTES", batch_bytes):
+        table, failures = extract_dataset(records, pool_cfg, grid_cfg)
+    rows, want_failures = reference_extraction(records, pool_cfg, grid_cfg)
+    assert failures == want_failures
+    assert table.tree_ids == tuple(r[0] for r in rows)
+    assert table.photo_ids == tuple(r[1] for r in rows)
+    assert table.x.tobytes() == np.reshape([r[2] for r in rows], (-1, 2)).tobytes()
+    assert table.y.tolist() == [r[3] for r in rows]
+
+
+PHOTO_KINDS = ("gray", "gray", "colour", "colour", "flat", "small", "broken")
+
+# Bytes of about three photos in a batch: a histogram is 2048 bytes.
+FEW_PHOTOS = 3 * 2048 + 300
+
+
+def write_photo(path: Path, kind: str, shape: tuple[int, int], seed: int, plain: bool = False):
+    """A photo file of one kind: gray or colour, or failing in the pixel phase."""
+    rng = np.random.default_rng(seed)
+    if kind == "small":
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    levels = rng.integers(0, 256, (*shape, 3) if kind == "colour" else shape)
+    if kind == "flat":
+        levels[...] = 77
+    elif kind != "colour":
+        levels[0, 0], levels[-1, -1] = 0, 255
+    data = (encode_ppm(RgbImage(levels), raw=not plain) if kind == "colour"
+            else encode_pgm(GrayImage(levels), raw=not plain))
+    path.write_bytes(data[:-3] if kind == "broken" else data)
+
+
+@st.composite
+def orchards(draw):
+    """Trees of photos of a few sizes, some failing, with a pool factor and grid."""
+    trees = draw(st.lists(st.lists(st.tuples(
+        st.sampled_from(PHOTO_KINDS), st.sampled_from([(12, 12), (13, 14), (12, 18), (20, 7)]),
+        st.integers(0, 2**32 - 1), st.booleans()), min_size=1, max_size=4),
+        min_size=1, max_size=5))
+    return trees, draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 4, 9]))
+
+
+def orchard_records(root: Path, trees) -> list[TreeRecord]:
+    records = []
+    for t, photos in enumerate(trees):
+        points = []
+        for i, (kind, shape, seed, plain) in enumerate(photos):
+            path = root / f"t{t}p{i}.pnm"
+            write_photo(path, kind, shape, seed, plain)
+            points.append(SamplePoint(f"t{t}", f"p{i}", path))
+        records.append(TreeRecord(f"t{t}", 1 if t % 2 else -1, tuple(points)))
+    return records
+
+
+class TestBatchedExtraction:
+    @given(orchards(), st.sampled_from([1, FEW_PHOTOS, pipeline._BATCH_BYTES]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_photo_by_photo_reference(self, tmp_path_factory, orchard, batch_bytes):
+        # A budget of 1 byte makes a batch of every photo.
+        trees, p, grid = orchard
+        records = orchard_records(tmp_path_factory.mktemp("orchard"), trees)
+        assert_matches_reference(records, PoolConfig(p), GridConfig(grid), batch_bytes)
+
+    @pytest.mark.parametrize("failing", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_failure_around_a_batch_boundary(self, tmp_path, failing, p):
+        # Photos 0-2 are tree t0 and 3-6 tree t1; batches of three photos
+        # end after photos 2 and 5, so the failing photo sits inside a
+        # batch, at either side of a boundary, or first in a tree.
+        kinds = ["gray", "colour"] * 4
+        kinds[failing] = "flat"
+        photos = [(kind, (12, 12), seed, False) for seed, kind in enumerate(kinds[:7])]
+        records = orchard_records(tmp_path, [photos[:3], photos[3:]])
+        assert_matches_reference(records, PoolConfig(p), GridConfig(4), FEW_PHOTOS)
+
+    def test_memory_does_not_grow_with_the_manifest(self, tmp_path):
+        # 128 x 128 photos at p = 1: a batch of the default budget holds
+        # 14, so 20 photos fill one already.  Beyond the batch, memory
+        # grows by the table's ids and rows alone.
+        write_photo(tmp_path / "photo.pgm", "gray", (128, 128), 5)
+
+        def peak(n_trees):
+            records = [TreeRecord(f"t{t}", 1, tuple(SamplePoint(f"t{t}", f"p{i}",
+                                                                tmp_path / "photo.pgm")
+                                                    for i in range(10)))
+                       for t in range(n_trees)]
+            tracemalloc.start()
+            try:
+                table, _ = extract_dataset(records, NO_POOL, GridConfig(32))
+                return tracemalloc.get_traced_memory()[1], len(table)
+            finally:
+                tracemalloc.stop()
+
+        (small, n_small), (large, n_large) = peak(2), peak(20)
+        assert (n_small, n_large) == (20, 200)
+        assert large < small + 64 * 1024
 
 
 class TestPerTree:

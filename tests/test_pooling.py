@@ -28,7 +28,7 @@ from shadowprune.imgcore import (BinaryImage, GrayImage, RgbImage, decode_image,
                                  encode_ppm)
 from shadowprune.pipeline import SamplePoint, TreeRecord, extract_dataset
 from shadowprune.pooling import PoolConfig, binarize_pooled
-from shadowprune.threshold import Histogram, _count_levels, binarize, otsu_threshold
+from shadowprune.threshold import _count_levels, binarize, otsu_threshold
 
 from oracles import max_pool_reference
 
@@ -145,11 +145,11 @@ def reference_path(img, cfg):
     gray = px.astype(np.uint8)
     if gray.size == 0:
         raise EmptyImage("cannot histogram an empty image")
-    result = otsu_threshold(Histogram(np.bincount(gray.ravel(), minlength=256), gray.size))
+    result = otsu_threshold(np.bincount(gray.ravel(), minlength=256)[None])
     (h, w), p = gray.shape, cfg.p
     if h < p or w < p:
         raise ImageTooSmall(f"{h}x{w} image has no full {p}x{p} patch")
-    binary = binarize(GrayImage(gray), result.threshold)
+    binary = binarize(GrayImage(gray), int(result.threshold[0]))
     return BinaryImage(max_pool_reference(binary.pixels, p)), result
 
 
@@ -160,9 +160,9 @@ def outcome(path, img, cfg):
     except ShadowPruneError as exc:
         return type(exc), str(exc)
     assert type(binary) is BinaryImage
-    return (binary.pixels.shape, binary.pixels.tobytes(), r.threshold,
-            r.objective.tobytes(), r.w0, r.w1, r.mu0, r.mu1,
-            extract_features(binary, GridConfig(2)).tolist()
+    return (binary.pixels.shape, binary.pixels.tobytes(), r.threshold.tolist(),
+            *(getattr(r, name).tobytes() for name in ("objective", "w0", "w1", "mu0", "mu1")),
+            extract_features(binary.pixels[None], [255], GridConfig(2)).tolist()
             if min(binary.pixels.shape) >= 2 else None)
 
 
@@ -261,8 +261,9 @@ class TestOnePassPath:
         with split_blocks(workers=2), counting_threads() as ran_on:
             found = outcome(binarize_pooled, rgb, PoolConfig(1))
         assert len(ran_on) == 2
-        result = otsu_threshold(Histogram(np.bincount(gray.ravel(), minlength=256), gray.size))
-        assert found == outcome(lambda img, cfg: (binarize(GrayImage(gray), result.threshold),
+        result = otsu_threshold(np.bincount(gray.ravel(), minlength=256)[None])
+        assert found == outcome(lambda img, cfg: (binarize(GrayImage(gray),
+                                                           int(result.threshold[0])),
                                                   result), rgb, PoolConfig(1))
 
     def test_error_order_matches_reference(self):

@@ -248,6 +248,16 @@ class TestSymmetries:
             if kernel == "linear":
                 assert model.w == pytest.approx(first.w, rel=1e-9)
 
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_tiny_c_keeps_its_support_vectors(self, kernel):
+        # Every alpha is at most C.  An absolute floor of 1e-12 dropped
+        # them all at C = 1e-13: linear collapsed, rbf kept no vector.
+        data = separable_set(77)
+        models = [train(data, TrainConfig(kernel=kernel, C=c)) for c in (1e-12, 1e-13)]
+        assert models[1].support_vector_indices == models[0].support_vector_indices != ()
+        if kernel == "linear":
+            assert np.any(models[1].w != 0.0)
+
     def test_rbf_small_gamma_approaches_linear(self):
         # flat-kernel limit: rescale C by 1/gamma so the fit stays expressive
         rng = np.random.default_rng(42)

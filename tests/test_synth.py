@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowprune.errors import DegenerateHistogram, InvalidConfig
-from shadowprune.features import black_pixel_rate, extract_features
+from shadowprune.features import black_pixel_rate
 from shadowprune.pipeline import extract_dataset, ingest
 from shadowprune.pooling import PoolConfig, binarize_pooled
 from shadowprune.synth import (
@@ -124,7 +124,7 @@ class TestGenerate:
         for seed in range(5):
             result = generate(default_config(regime, seed=(seed,)))
             binary, _ = binarize_pooled(result.image, PoolConfig(1))
-            rate = black_pixel_rate(binary)
+            rate = float(black_pixel_rate(binary.pixels[None] == 255)[0])
             assert result.coverage_low <= rate <= result.coverage_high
 
     def test_coverage_target_is_reached(self):
